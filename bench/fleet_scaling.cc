@@ -26,8 +26,9 @@
  * current come from the same runner class and bench arguments, so a
  * barrier-path regression shows up as a relative drop rather than
  * hiding inside absolute wall-clock noise. The per-epoch
- * barrier-ns/merge-ns series break such a drop down to the barrier
- * phase that caused it.
+ * barrier-ns/merge-ns/exchange-ns series break such a drop down to
+ * the barrier phase that caused it; the exchange-ns metric is the
+ * registry's fleet.barrier.exchange_ns counter.
  */
 
 #include "bench_util.hh"
@@ -65,7 +66,7 @@ main(int argc, char **argv)
     TablePrinter table({"shards", "iters", "iters/sim-s",
                         "exec instr/sim-s", "merged cov",
                         "best shard cov", "host s", "host eff",
-                        "barrier-ns", "merge-ns"});
+                        "barrier-ns", "merge-ns", "exchange-ns"});
 
     double host1 = 0.0; // 1-shard host-seconds (efficiency base)
     for (unsigned shards : {1u, 2u, 4u, 8u}) {
@@ -125,6 +126,7 @@ main(int argc, char **argv)
         uint64_t barrier_total = 0, merge_total = 0;
         TimeSeries barrier_series("barrier-ns");
         TimeSeries merge_series("merge-ns");
+        TimeSeries exchange_series("exchange-ns");
         for (size_t e = 0; e < r.epochBarrierNs.size(); ++e) {
             const double t =
                 fc.epochDeadline(static_cast<unsigned>(e));
@@ -136,7 +138,13 @@ main(int argc, char **argv)
                 merge_series.record(
                     t, static_cast<double>(r.epochMergeNs[e]));
             }
+            if (e < r.epochExchangeNs.size()) {
+                exchange_series.record(
+                    t, static_cast<double>(r.epochExchangeNs[e]));
+            }
         }
+        const uint64_t exchange_total =
+            r.metrics.counterValue("fleet.barrier.exchange_ns");
 
         table.addRow({TablePrinter::integer(shards),
                       TablePrinter::integer(r.totals.iterations),
@@ -147,7 +155,8 @@ main(int argc, char **argv)
                       TablePrinter::num(r.hostSeconds, 3),
                       TablePrinter::num(efficiency, 3),
                       TablePrinter::integer(barrier_total),
-                      TablePrinter::integer(merge_total)});
+                      TablePrinter::integer(merge_total),
+                      TablePrinter::integer(exchange_total)});
 
         const std::string tag =
             "shards-" + std::to_string(shards);
@@ -155,6 +164,7 @@ main(int argc, char **argv)
         json.series(tag + "-throughput", r.throughput);
         json.series(tag + "-barrier-ns", barrier_series);
         json.series(tag + "-merge-ns", merge_series);
+        json.series(tag + "-exchange-ns", exchange_series);
         json.metric(tag + "-iters-per-sim-sec", iter_rate);
         json.metric(tag + "-exec-instr-per-sim-sec", exec_rate);
         json.metric(tag + "-merged-coverage",
@@ -165,6 +175,8 @@ main(int argc, char **argv)
                     static_cast<double>(barrier_total));
         json.metric(tag + "-merge-ns",
                     static_cast<double>(merge_total));
+        json.metric(tag + "-exchange-ns",
+                    static_cast<double>(exchange_total));
     }
 
     table.print();

@@ -85,16 +85,19 @@ struct FleetResult
     double hostItersPerSec = 0.0;
 
     /**
-     * Host nanoseconds spent in each epoch barrier, and the coverage-
+     * Host nanoseconds spent in each epoch barrier, the coverage-
      * merge share of it (delta publish + reduction + apply, or the
-     * serial reference merge). One entry per completed barrier of
-     * THIS run() call — host timing is not checkpointed, so a
-     * resumed run reports only its own barriers. Informational:
-     * excluded from the determinism comparisons, consumed by
-     * bench/fleet_scaling.cc's per-epoch columns.
+     * serial reference merge) and the seed-exchange share (export,
+     * import and sync charge; fleet.barrier.exchange_ns per epoch).
+     * One entry per completed barrier of THIS run() call — host
+     * timing is not checkpointed, so a resumed run reports only its
+     * own barriers. Informational: excluded from the determinism
+     * comparisons, consumed by bench/fleet_scaling.cc's per-epoch
+     * columns.
      */
     std::vector<uint64_t> epochBarrierNs;
     std::vector<uint64_t> epochMergeNs;
+    std::vector<uint64_t> epochExchangeNs;
 
     /**
      * End-of-run merged telemetry: every shard registry plus the

@@ -262,11 +262,14 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
     //    is copied only when admission actually re-identifies it into
     //    the importing corpus. A 1-shard fleet has no peers and
     //    therefore no round trip at all — this keeps it bit-identical
-    //    to a standalone campaign.
+    //    to a standalone campaign. Export and import stay on this
+    //    thread in fixed shard order, so every seed copy and
+    //    publication is allocated here; the content hashes they
+    //    dedup by were computed in the parallel epoch phase
+    //    (FleetShard::hashResidents).
     const uint64_t exchange_start = telemetry::nowNs();
     if (n >= 2) {
-        if (sync.topology() != ExchangeTopology::None &&
-            sync.topK() > 0) {
+        if (exchangesSeeds()) {
             std::vector<std::vector<fuzzer::SeedShare>> exported(n);
             for (unsigned i = 0; i < n; ++i) {
                 exported[i] =
@@ -286,7 +289,9 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
         for (auto &s : shards)
             s->chargeSync(sync.syncCostSec());
     }
-    mExchangeNs->add(telemetry::nowNs() - exchange_start);
+    const uint64_t exchange_ns = telemetry::nowNs() - exchange_start;
+    mExchangeNs->add(exchange_ns);
+    result.epochExchangeNs.push_back(exchange_ns);
 
     // 3. Mismatch harvest: each shard's first mismatch, once.
     for (unsigned i = 0; i < n; ++i) {
@@ -355,6 +360,13 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
                                     barrier_start);
 }
 
+bool
+FleetOrchestrator::exchangesSeeds() const
+{
+    return shardCount() >= 2 &&
+           sync.topology() != ExchangeTopology::None && sync.topK() > 0;
+}
+
 FleetResult
 FleetOrchestrator::run()
 {
@@ -370,6 +382,7 @@ FleetOrchestrator::run()
     const unsigned threads =
         cfg.workerThreads ? cfg.workerThreads : n;
     WorkerPool pool(threads);
+    const bool exchanges = exchangesSeeds();
 
     // epochsDone is 0 for a fresh fleet and the checkpointed barrier
     // count after restoreCheckpoint() — the loop continues exactly
@@ -381,8 +394,12 @@ FleetOrchestrator::run()
                                             "fleet.epoch");
             for (auto &s : shards) {
                 FleetShard *shard_ptr = s.get();
-                pool.submit([shard_ptr, deadline, this] {
+                pool.submit([shard_ptr, deadline, exchanges, this] {
                     shard_ptr->runEpoch(deadline, &liveStats);
+                    // Hash new corpus residents here, in parallel,
+                    // instead of inside the serial exchange.
+                    if (exchanges)
+                        shard_ptr->hashResidents();
                 });
             }
             pool.wait();

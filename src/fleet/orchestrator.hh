@@ -177,6 +177,10 @@ class FleetOrchestrator
     void epochBarrier(unsigned epoch_idx, FleetResult &result,
                       StatsSnapshot &prev_totals, WorkerPool &pool);
 
+    /** Whether barriers exchange seeds: peers exist, the topology
+     *  links them and the policy sends at least one seed. */
+    bool exchangesSeeds() const;
+
     FleetConfig cfg;
     SyncPolicy sync;
     std::vector<std::unique_ptr<FleetShard>> shards;

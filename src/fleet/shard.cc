@@ -37,16 +37,10 @@ FleetShard::runEpoch(double deadline_sec, ConcurrentStats *aggregate)
         aggregate->add(counters() - before);
 }
 
-std::vector<fuzzer::Seed>
-FleetShard::exportSeeds(size_t k)
+void
+FleetShard::hashResidents()
 {
-    return camp->generator().exportTopSeeds(k);
-}
-
-size_t
-FleetShard::importSeeds(std::vector<fuzzer::Seed> seeds)
-{
-    return camp->injectSeeds(std::move(seeds));
+    camp->generator().hashResidentSeeds();
 }
 
 std::vector<fuzzer::SeedShare>

@@ -47,18 +47,20 @@ class FleetShard
      */
     void runEpoch(double deadline_sec, ConcurrentStats *aggregate);
 
-    /** Barrier-time: export the corpus's top @p k seeds. */
-    std::vector<fuzzer::Seed> exportSeeds(size_t k);
-
-    /** Barrier-time: import peer seeds; returns admitted count. */
-    size_t importSeeds(std::vector<fuzzer::Seed> seeds);
+    /**
+     * Epoch-time: hash the corpus seeds admitted since the last
+     * exchange, so the serial barrier's export and import only read
+     * cached hashes. Shard-local, like runEpoch(), and called right
+     * after it in the same worker task.
+     */
+    void hashResidents();
 
     /** Barrier-time: publish the corpus's top @p k seeds as shared
      *  immutable blocks (zero-copy exchange). */
     std::vector<fuzzer::SeedShare> exportSeedsShared(size_t k);
 
-    /** Barrier-time: import published peer seed blocks; returns
-     *  admitted count (same dedup/admission as importSeeds). */
+    /** Barrier-time: import published peer seed blocks (content-hash
+     *  dedup, then normal admission); returns admitted count. */
     size_t
     importSeedsShared(const std::vector<fuzzer::SeedShare> &shares);
 

@@ -15,6 +15,7 @@ Corpus::Corpus(size_t capacity, SchedulingPolicy policy)
 {
     TF_ASSERT(cap >= 1, "corpus capacity must be >= 1");
     seeds.reserve(cap);
+    slotHash.reserve(cap);
 }
 
 void
@@ -27,11 +28,12 @@ Corpus::bindTelemetry(telemetry::MetricRegistry *registry)
 }
 
 void
-Corpus::replaceAt(size_t idx, Seed seed)
+Corpus::replaceAt(size_t idx, Seed seed, std::optional<uint64_t> hash)
 {
     idIndex.erase(seeds[idx].id);
     idIndex[seed.id] = idx;
     seeds[idx] = std::move(seed);
+    slotHash[idx] = hash;
     ++evictCount;
     if (tel.evictions)
         tel.evictions->add(1);
@@ -44,6 +46,7 @@ Corpus::addBaseline(Seed seed)
     if (seeds.size() < cap) {
         idIndex[seed.id] = seeds.size();
         seeds.push_back(std::move(seed));
+        slotHash.emplace_back();
         if (tel.size)
             tel.size->set(static_cast<int64_t>(seeds.size()));
         return;
@@ -54,11 +57,18 @@ Corpus::addBaseline(Seed seed)
             return a.insertedAt < b.insertedAt;
         });
     replaceAt(static_cast<size_t>(oldest - seeds.begin()),
-              std::move(seed));
+              std::move(seed), std::nullopt);
 }
 
 bool
 Corpus::offer(Seed seed, uint64_t cov_increment)
+{
+    return admit(std::move(seed), cov_increment, std::nullopt);
+}
+
+bool
+Corpus::admit(Seed seed, uint64_t cov_increment,
+              std::optional<uint64_t> hash)
 {
     seed.coverageIncrement = cov_increment;
     seed.insertedAt = nextInsertion++;
@@ -75,6 +85,7 @@ Corpus::offer(Seed seed, uint64_t cov_increment)
     if (seeds.size() < cap) {
         idIndex[seed.id] = seeds.size();
         seeds.push_back(std::move(seed));
+        slotHash.push_back(hash);
         if (tel.admits) {
             tel.admits->add(1);
             tel.size->set(static_cast<int64_t>(seeds.size()));
@@ -89,7 +100,7 @@ Corpus::offer(Seed seed, uint64_t cov_increment)
                 return a.insertedAt < b.insertedAt;
             });
         replaceAt(static_cast<size_t>(oldest - seeds.begin()),
-                  std::move(seed));
+                  std::move(seed), hash);
         if (tel.admits)
             tel.admits->add(1);
         return true;
@@ -108,7 +119,7 @@ Corpus::offer(Seed seed, uint64_t cov_increment)
         return false;
     }
     replaceAt(static_cast<size_t>(weakest - seeds.begin()),
-              std::move(seed));
+              std::move(seed), hash);
     if (tel.admits)
         tel.admits->add(1);
     return true;
@@ -164,48 +175,53 @@ Corpus::updateIncrement(uint64_t seed_id, uint64_t cov_increment)
     seeds[it->second].coverageIncrement = cov_increment;
 }
 
-std::vector<Seed>
-Corpus::exportTop(size_t k) const
+std::vector<size_t>
+Corpus::rankTop(size_t k) const
 {
-    std::vector<const Seed *> ranked;
-    ranked.reserve(seeds.size());
-    for (const Seed &s : seeds)
-        ranked.push_back(&s);
+    std::vector<size_t> ranked(seeds.size());
+    for (size_t i = 0; i < ranked.size(); ++i)
+        ranked[i] = i;
     const size_t n = std::min(k, ranked.size());
     // Deterministic total order so every shard exports the same set
     // for the same corpus state regardless of container layout.
-    const auto better = [](const Seed *a, const Seed *b) {
-        if (a->coverageIncrement != b->coverageIncrement)
-            return a->coverageIncrement > b->coverageIncrement;
-        return a->insertedAt < b->insertedAt;
+    const auto better = [this](size_t a, size_t b) {
+        const Seed &x = seeds[a];
+        const Seed &y = seeds[b];
+        if (x.coverageIncrement != y.coverageIncrement)
+            return x.coverageIncrement > y.coverageIncrement;
+        return x.insertedAt < y.insertedAt;
     };
     std::partial_sort(ranked.begin(),
                       ranked.begin() + static_cast<std::ptrdiff_t>(n),
                       ranked.end(), better);
+    ranked.resize(n);
+    return ranked;
+}
+
+std::vector<Seed>
+Corpus::exportTop(size_t k) const
+{
+    const std::vector<size_t> top = rankTop(k);
     std::vector<Seed> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        out.push_back(*ranked[i]);
+    out.reserve(top.size());
+    for (size_t idx : top)
+        out.push_back(seeds[idx]);
     return out;
+}
+
+void
+Corpus::hashResidents()
+{
+    for (size_t i = 0; i < seeds.size(); ++i) {
+        if (!slotHash[i])
+            slotHash[i] = seeds[i].contentHash();
+    }
 }
 
 std::vector<SeedShare>
 Corpus::exportTopShared(size_t k)
 {
-    std::vector<const Seed *> ranked;
-    ranked.reserve(seeds.size());
-    for (const Seed &s : seeds)
-        ranked.push_back(&s);
-    const size_t n = std::min(k, ranked.size());
-    // Same deterministic total order as exportTop().
-    const auto better = [](const Seed *a, const Seed *b) {
-        if (a->coverageIncrement != b->coverageIncrement)
-            return a->coverageIncrement > b->coverageIncrement;
-        return a->insertedAt < b->insertedAt;
-    };
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<std::ptrdiff_t>(n),
-                      ranked.end(), better);
+    hashResidents();
     // Exchange-relevant metadata: everything an importer's admission
     // or genealogy keeps. id/insertedAt/parentId are re-assigned on
     // import and deliberately absent.
@@ -215,16 +231,26 @@ Corpus::exportTopShared(size_t k)
                a.lineageDepth == b.lineageDepth &&
                a.energyAtCreation == b.energyAtCreation;
     };
+    const std::vector<size_t> top = rankTop(k);
     std::vector<SeedShare> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        const Seed &s = *ranked[i];
-        const uint64_t hash = s.contentHash();
+    out.reserve(top.size());
+    for (size_t idx : top) {
+        const Seed &s = seeds[idx];
+        const uint64_t hash = *slotHash[idx];
         auto [it, inserted] = publishCache.try_emplace(hash);
         if (inserted || !sameExported(*it->second, s))
             it->second = std::make_shared<const Seed>(s);
         out.push_back({it->second, hash});
     }
+    // Keep only this export's blocks: a seed that stays in the top-K
+    // is still published once, and one that left it is released
+    // instead of accumulating for the life of the fleet.
+    std::erase_if(publishCache, [&out](const auto &entry) {
+        return std::none_of(out.begin(), out.end(),
+                            [&entry](const SeedShare &share) {
+                                return share.contentHash == entry.first;
+                            });
+    });
     return out;
 }
 
@@ -232,13 +258,17 @@ size_t
 Corpus::importShared(const std::vector<SeedShare> &shares,
                      uint64_t &next_seed_id)
 {
-    // Identical dedup semantics to importSeeds(); the only difference
-    // is that the hash was computed once at publish time and a seed
-    // is copied out of its shared block only when it survives dedup.
+    // Resident hashes come from the slot cache. A broadcast fleet
+    // offers the same top-K exemplars at every barrier, and
+    // re-identified copies must not be re-admitted as fresh stimuli.
+    // The set is rebuilt per import because residents change between
+    // barriers; corpora are small (BRAM-capacity bound) and the
+    // hashes are cached, so this is cheap.
+    hashResidents();
     std::unordered_set<uint64_t> resident;
     resident.reserve(seeds.size() + shares.size());
-    for (const Seed &s : seeds)
-        resident.insert(s.contentHash());
+    for (const std::optional<uint64_t> &hash : slotHash)
+        resident.insert(*hash);
 
     size_t admitted = 0;
     for (const SeedShare &share : shares) {
@@ -250,10 +280,13 @@ Corpus::importShared(const std::vector<SeedShare> &shares,
         }
         Seed s = *share.seed;
         s.id = next_seed_id++;
-        // Imports become lineage roots, exactly as in importSeeds().
+        // The parent id belongs to the exporting shard's id space;
+        // keeping it would alias an unrelated local seed. Imports
+        // become lineage roots that retain their depth and operator
+        // (docs/provenance.md).
         s.parentId = 0;
         const uint64_t increment = s.coverageIncrement;
-        if (offer(std::move(s), increment))
+        if (admit(std::move(s), increment, share.contentHash))
             ++admitted;
     }
     if (tel.importsAdmitted)
@@ -264,38 +297,14 @@ Corpus::importShared(const std::vector<SeedShare> &shares,
 size_t
 Corpus::importSeeds(std::vector<Seed> imported, uint64_t &next_seed_id)
 {
-    // Content hashes of the resident seeds: a broadcast fleet offers
-    // the same top-K exemplars at every barrier, and re-identified
-    // copies must not be re-admitted as fresh stimuli. The set is
-    // rebuilt per import because residents change between barriers;
-    // corpora are small (BRAM-capacity bound), so this is cheap.
-    std::unordered_set<uint64_t> resident;
-    resident.reserve(seeds.size() + imported.size());
-    for (const Seed &s : seeds)
-        resident.insert(s.contentHash());
-
-    size_t admitted = 0;
+    std::vector<SeedShare> shares;
+    shares.reserve(imported.size());
     for (Seed &s : imported) {
         const uint64_t hash = s.contentHash();
-        if (!resident.insert(hash).second) {
-            ++dupImportCount;
-            if (tel.importsDuplicate)
-                tel.importsDuplicate->add(1);
-            continue;
-        }
-        s.id = next_seed_id++;
-        // The parent id belongs to the exporting shard's id space;
-        // keeping it would alias an unrelated local seed. Imports
-        // become lineage roots that retain their depth and operator
-        // (docs/provenance.md).
-        s.parentId = 0;
-        const uint64_t increment = s.coverageIncrement;
-        if (offer(std::move(s), increment))
-            ++admitted;
+        shares.push_back(
+            {std::make_shared<const Seed>(std::move(s)), hash});
     }
-    if (tel.importsAdmitted)
-        tel.importsAdmitted->add(admitted);
-    return admitted;
+    return importShared(shares, next_seed_id);
 }
 
 void
@@ -338,6 +347,7 @@ Corpus::loadState(soc::SnapshotReader &in, std::string *error)
         return fail("corpus seed count exceeds capacity");
 
     seeds.clear();
+    slotHash.clear();
     idIndex.clear();
     seeds.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
@@ -357,6 +367,7 @@ Corpus::loadState(soc::SnapshotReader &in, std::string *error)
             return fail("duplicate seed id in corpus image");
         idIndex[s.id] = seeds.size();
         seeds.push_back(std::move(s));
+        slotHash.emplace_back();
     }
     if (tel.size)
         tel.size->set(static_cast<int64_t>(seeds.size()));

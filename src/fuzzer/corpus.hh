@@ -29,6 +29,7 @@
 #define TURBOFUZZ_FUZZER_CORPUS_HH
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -109,16 +110,10 @@ class Corpus
     std::vector<Seed> exportTop(size_t k) const;
 
     /**
-     * Import seeds from another corpus (a peer shard). Imports are
-     * deduplicated by content hash — against the resident seeds and
-     * within the imported batch itself — because re-identification
-     * would otherwise let the same top-K stimulus re-enter as "new"
-     * at every broadcast barrier, flooding the corpus with duplicates
-     * and skewing select() toward one pattern. Each surviving seed is
-     * re-identified from @p next_seed_id — the caller's id allocator —
-     * so imported ids never collide with locally archived ones, then
-     * offered through the normal admission path with its recorded
-     * coverage increment as the priority signal.
+     * Import seeds from another corpus (a peer shard): wraps each
+     * seed as a SeedShare with its content hash and runs
+     * importShared(), so both entry points share one dedup and
+     * admission path.
      *
      * @return number of seeds admitted.
      */
@@ -128,26 +123,55 @@ class Corpus
     /**
      * Zero-copy variant of exportTop(): the same deterministic top-K
      * selection, but each exported seed is published as a shared
-     * immutable block (SeedShare). Publications are cached by content
-     * hash, so a seed that stays in the top-K across epochs is copied
-     * once, not once per barrier; a cached block is re-published when
+     * immutable block (SeedShare) carrying the resident's cached
+     * content hash. A seed that stays in the top-K across epochs is
+     * copied once, not once per barrier; a block is re-published when
      * the resident's exchange-relevant metadata (recorded increment,
-     * genealogy) moved since. Non-const only for the cache — the
+     * genealogy) moved since. Non-const only for the caches — the
      * resident seeds are untouched.
      */
     std::vector<SeedShare> exportTopShared(size_t k);
 
     /**
-     * Zero-copy variant of importSeeds(): identical dedup (against
-     * residents and within the batch, by the precomputed content
-     * hash), identical re-identification from @p next_seed_id and
-     * identical admission control — but only seeds that survive
-     * dedup are copied out of the shared block.
+     * Import published peer seeds. Imports are deduplicated by
+     * content hash — against the resident seeds and within the batch
+     * itself — because re-identification would otherwise let the same
+     * top-K stimulus re-enter as "new" at every broadcast barrier,
+     * flooding the corpus with duplicates and skewing select() toward
+     * one pattern. Each surviving seed is copied out of its shared
+     * block, re-identified from @p next_seed_id — the caller's id
+     * allocator — so imported ids never collide with locally archived
+     * ones, then offered through the normal admission path with its
+     * recorded coverage increment as the priority signal. Resident
+     * hashes come from the slot cache (hashResidents()); an admitted
+     * import caches SeedShare::contentHash and is never re-hashed.
      *
      * @return number of seeds admitted.
      */
     size_t importShared(const std::vector<SeedShare> &shares,
                         uint64_t &next_seed_id);
+
+    /**
+     * Hash every resident whose slot changed since it was last
+     * hashed (local admissions, baselines, a restored image). Pure
+     * compute over this corpus only, so a fleet runs it in each
+     * shard's parallel epoch task; the barrier's export and import
+     * then find every hash cached. Export and import call it too, so
+     * direct callers stay correct — it is a no-op when nothing
+     * changed.
+     */
+    void hashResidents();
+
+    /**
+     * Cached content hash of the resident at slot @p idx (same
+     * indexing as entries()), or std::nullopt when the slot changed
+     * since the last hashResidents().
+     */
+    std::optional<uint64_t>
+    cachedHash(size_t idx) const
+    {
+        return slotHash[idx];
+    }
 
     /** Imports rejected as duplicates of resident content (stats). */
     uint64_t duplicateImports() const { return dupImportCount; }
@@ -179,12 +203,31 @@ class Corpus
     const std::vector<Seed> &entries() const { return seeds; }
 
   private:
-    /** Replace the resident seed at @p idx, keeping idIndex in sync. */
-    void replaceAt(size_t idx, Seed seed);
+    /**
+     * offer() with the newcomer's content hash, when known (imports
+     * carry it), so the slot cache never re-hashes an import.
+     */
+    bool admit(Seed seed, uint64_t cov_increment,
+               std::optional<uint64_t> hash);
+
+    /** Replace the resident seed at @p idx, keeping idIndex and the
+     *  slot hash in sync. */
+    void replaceAt(size_t idx, Seed seed, std::optional<uint64_t> hash);
+
+    /** Slot indices of the top @p k residents in export order. */
+    std::vector<size_t> rankTop(size_t k) const;
 
     size_t cap;
     SchedulingPolicy pol;
     std::vector<Seed> seeds;
+
+    /**
+     * Content hash per slot of `seeds`, std::nullopt until the slot's
+     * current seed is hashed (0 is a valid hash). Every slot change
+     * writes it: local admissions and baselines reset it, imports set
+     * it from the share.
+     */
+    std::vector<std::optional<uint64_t>> slotHash;
 
     /**
      * Seed-id -> index into `seeds`. Ids are unique within a corpus
@@ -197,8 +240,8 @@ class Corpus
     /**
      * Content hash -> published immutable block (exportTopShared).
      * Purely an allocation cache: never checkpointed, never read by
-     * scheduling, and bounded by the distinct contents this corpus
-     * ever exported (top-K sets are stable epoch over epoch).
+     * scheduling, and holding only the latest export's blocks, so it
+     * is bounded by the top-K size however long the fleet runs.
      */
     std::unordered_map<uint64_t, std::shared_ptr<const Seed>>
         publishCache;

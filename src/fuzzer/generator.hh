@@ -98,6 +98,15 @@ class StimulusGenerator
     }
 
     /**
+     * Fleet seed exchange: hash archived seeds added since the last
+     * exchange, so the next export/import reads cached hashes. Only
+     * touches this generator's corpus, so a fleet calls it from the
+     * shard's parallel epoch task. Generators without a corpus have
+     * nothing to hash.
+     */
+    virtual void hashResidentSeeds() {}
+
+    /**
      * Triage support: the environment descriptor that allows an
      * archived IterationInfo to be re-materialized and replayed
      * standalone. Generators whose iterations cannot be rebuilt
@@ -195,6 +204,8 @@ class TurboFuzzGenerator : public StimulusGenerator
     {
         return fuzzer.exportTopSharedSeeds(k);
     }
+
+    void hashResidentSeeds() override { fuzzer.hashResidentSeeds(); }
 
     std::optional<ReplayEnv>
     replayEnv() const override

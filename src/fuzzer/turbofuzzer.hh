@@ -195,6 +195,9 @@ class TurboFuzzer
      *  blocks (zero-copy cross-shard exchange). */
     std::vector<SeedShare> exportTopSharedSeeds(size_t k);
 
+    /** Fill the corpus's content-hash cache ahead of an exchange. */
+    void hashResidentSeeds() { seedCorpus.hashResidents(); }
+
     /** Forward the campaign's metric registry to the corpus. */
     void
     bindTelemetry(telemetry::MetricRegistry *reg)

@@ -590,6 +590,56 @@ TEST(FleetSeedExchange, BroadcastDoesNotFloodCorporaWithDuplicates)
 }
 
 /**
+ * Resident hashing runs in each shard's epoch task on the worker pool
+ * while export and import stay serial; neither the worker count nor
+ * the order in which shards finish may change what is exchanged,
+ * admitted or kept.
+ */
+TEST(FleetSeedExchange, WorkerCountInvariant)
+{
+    for (ExchangeTopology topology :
+         {ExchangeTopology::Ring, ExchangeTopology::Broadcast}) {
+        SCOPED_TRACE(topology == ExchangeTopology::Ring ? "ring"
+                                                        : "broadcast");
+        struct Outcome
+        {
+            FleetResult result;
+            std::vector<std::vector<uint64_t>> residents;
+        };
+        auto run = [&](unsigned workers) {
+            FleetConfig fc = fleetConfig(4, 3.0, 0.5, 17);
+            fc.topology = topology;
+            fc.exchangeTopK = 4;
+            fc.workerThreads = workers;
+            FleetOrchestrator orch(fc, campaignOpts(), fuzzerOpts(),
+                                   &lib());
+            Outcome out{orch.run(), {}};
+            for (unsigned i = 0; i < orch.shardCount(); ++i) {
+                auto *gen = dynamic_cast<fuzzer::TurboFuzzGenerator *>(
+                    &orch.shard(i).campaign().generator());
+                EXPECT_NE(gen, nullptr);
+                std::vector<uint64_t> hashes;
+                for (const fuzzer::Seed &s :
+                     gen->underlying().corpus().entries())
+                    hashes.push_back(s.contentHash());
+                out.residents.push_back(std::move(hashes));
+            }
+            return out;
+        };
+        const Outcome serial = run(1);
+        const Outcome parallel = run(4);
+        ASSERT_GT(serial.result.seedsAdmitted, 0u);
+        EXPECT_EQ(serial.result.seedsExchanged,
+                  parallel.result.seedsExchanged);
+        EXPECT_EQ(serial.result.seedsAdmitted,
+                  parallel.result.seedsAdmitted);
+        EXPECT_EQ(serial.result.mergedFinalCoverage,
+                  parallel.result.mergedFinalCoverage);
+        EXPECT_EQ(serial.residents, parallel.residents);
+    }
+}
+
+/**
  * Tentpole acceptance (docs/fleet.md "Epoch barrier anatomy"): the
  * default delta barrier — parallel dirty-word publication, tree
  * reduction on the pool, zero-copy seed exchange, overlapped I/O —
@@ -656,8 +706,8 @@ TEST(FleetDelta, DeltaBarrierMatchesSerialBarrierByteIdentical)
 }
 
 /** The barrier phase instrumentation lands in the result: one
- *  barrier/merge timing entry per completed epoch, and the phase
- *  counters exist in the merged metrics. */
+ *  barrier/merge/exchange timing entry per completed epoch, and the
+ *  phase counters exist in the merged metrics. */
 TEST(FleetDelta, BarrierTimingRecordedPerEpoch)
 {
     FleetConfig fc = fleetConfig(2, 2.0, 0.5, 3);
@@ -666,8 +716,15 @@ TEST(FleetDelta, BarrierTimingRecordedPerEpoch)
 
     EXPECT_EQ(r.epochBarrierNs.size(), r.epochs);
     EXPECT_EQ(r.epochMergeNs.size(), r.epochs);
-    for (size_t e = 0; e < r.epochBarrierNs.size(); ++e)
-        EXPECT_GE(r.epochBarrierNs[e], r.epochMergeNs[e]);
+    EXPECT_EQ(r.epochExchangeNs.size(), r.epochs);
+    uint64_t exchange_total = 0;
+    for (size_t e = 0; e < r.epochBarrierNs.size(); ++e) {
+        EXPECT_GE(r.epochBarrierNs[e],
+                  r.epochMergeNs[e] + r.epochExchangeNs[e]);
+        exchange_total += r.epochExchangeNs[e];
+    }
+    EXPECT_EQ(r.metrics.counterValue("fleet.barrier.exchange_ns"),
+              exchange_total);
     EXPECT_GT(r.metrics.counterValue("fleet.barrier.merge_ns"), 0u);
     // Counters exist even when their phase did no work this run
     // (absent names return the fallback, so distinct fallbacks

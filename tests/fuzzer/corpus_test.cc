@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "fuzzer/corpus.hh"
 #include "soc/snapshot.hh"
@@ -445,6 +446,147 @@ TEST(Corpus, SaveLoadStateRoundTrip)
     Corpus victim(8, SchedulingPolicy::CoverageGuided);
     EXPECT_FALSE(victim.loadState(bad_reader, &error));
     EXPECT_NE(error.find("capacity"), std::string::npos);
+}
+
+/**
+ * Fill the hash cache, then require every slot to hold its seed's
+ * content hash. hashResidents() only fills empty slots, so a stale
+ * entry left by a slot change survives it and fails here.
+ */
+void
+expectCacheCoherent(Corpus &c)
+{
+    c.hashResidents();
+    for (size_t i = 0; i < c.size(); ++i) {
+        ASSERT_TRUE(c.cachedHash(i).has_value()) << "slot " << i;
+        EXPECT_EQ(*c.cachedHash(i), c.entries()[i].contentHash())
+            << "slot " << i;
+    }
+}
+
+size_t
+slotOf(const Corpus &c, uint64_t id)
+{
+    for (size_t i = 0; i < c.size(); ++i) {
+        if (c.entries()[i].id == id)
+            return i;
+    }
+    ADD_FAILURE() << "seed " << id << " not resident";
+    return 0;
+}
+
+TEST(Corpus, HashCacheFollowsEverySlotChange)
+{
+    Corpus c(3, SchedulingPolicy::CoverageGuided);
+
+    // Offer below capacity: the new slot starts unhashed.
+    c.offer(seedWithId(1), 10);
+    EXPECT_FALSE(c.cachedHash(0).has_value());
+    expectCacheCoherent(c);
+    c.offer(seedWithId(2), 20);
+    c.offer(seedWithId(3), 30);
+    expectCacheCoherent(c);
+
+    // Offer with eviction: seed 1's slot now holds seed 4.
+    const size_t weakest = slotOf(c, 1);
+    ASSERT_TRUE(c.offer(seedWithId(4), 40));
+    EXPECT_EQ(c.entries()[weakest].id, 4u);
+    EXPECT_FALSE(c.cachedHash(weakest).has_value());
+    expectCacheCoherent(c);
+
+    // addBaseline, both branches: below capacity, then replacing the
+    // oldest resident at capacity.
+    Corpus b(2, SchedulingPolicy::CoverageGuided);
+    b.addBaseline(seedWithId(10));
+    expectCacheCoherent(b);
+    b.addBaseline(seedWithId(11));
+    expectCacheCoherent(b);
+    b.addBaseline(seedWithId(12)); // replaces seed 10
+    EXPECT_EQ(b.findSeed(10), nullptr);
+    expectCacheCoherent(b);
+
+    // FIFO eviction goes through the same slot update.
+    Corpus f(1, SchedulingPolicy::Fifo);
+    f.offer(seedWithId(20), 0);
+    expectCacheCoherent(f);
+    f.offer(seedWithId(21), 0);
+    expectCacheCoherent(f);
+
+    // Import: the slot takes the share's hash without re-hashing,
+    // both when appended and when it evicts a resident.
+    Corpus donor(4, SchedulingPolicy::CoverageGuided);
+    donor.offer(seedWithId(30), 500);
+    donor.offer(seedWithId(31), 600);
+    Corpus receiver(2, SchedulingPolicy::CoverageGuided);
+    receiver.offer(seedWithId(32), 5);
+    uint64_t next_id = 100;
+    ASSERT_EQ(receiver.importShared(donor.exportTopShared(2), next_id),
+              2u); // one appended, one evicts seed 32
+    for (uint64_t id : {100u, 101u}) {
+        const size_t slot = slotOf(receiver, id);
+        ASSERT_TRUE(receiver.cachedHash(slot).has_value());
+        EXPECT_EQ(*receiver.cachedHash(slot),
+                  receiver.entries()[slot].contentHash());
+    }
+    expectCacheCoherent(receiver);
+
+    // loadState: a restored image starts unhashed.
+    soc::SnapshotWriter w;
+    receiver.saveState(w);
+    const auto image = w.takeBuffer();
+    Corpus back(2, SchedulingPolicy::CoverageGuided);
+    soc::SnapshotReader r(image);
+    ASSERT_TRUE(back.loadState(r));
+    for (size_t i = 0; i < back.size(); ++i)
+        EXPECT_FALSE(back.cachedHash(i).has_value());
+    expectCacheCoherent(back);
+}
+
+TEST(Corpus, EvictedContentIsNotDeduplicatedByStaleHash)
+{
+    // Seed 1 is hashed, then evicted by different content landing in
+    // the same slot. A stale slot hash would still claim seed 1's
+    // content is resident and drop its re-import as a duplicate.
+    Corpus c(1, SchedulingPolicy::CoverageGuided);
+    c.offer(seedWithId(1), 10);
+    c.hashResidents();
+    ASSERT_TRUE(c.offer(seedWithId(2), 20));
+    ASSERT_EQ(c.entries()[0].id, 2u);
+
+    Corpus donor(1, SchedulingPolicy::CoverageGuided);
+    donor.offer(seedWithId(1), 30);
+    uint64_t next_id = 50;
+    EXPECT_EQ(c.importShared(donor.exportTopShared(1), next_id), 1u);
+    EXPECT_EQ(c.duplicateImports(), 0u);
+    EXPECT_EQ(c.entries()[0].contentHash(),
+              seedWithId(1).contentHash());
+}
+
+TEST(Corpus, ExportSharedPublishesOnceAndReleasesDroppedSeeds)
+{
+    Corpus c(4, SchedulingPolicy::CoverageGuided);
+    c.offer(seedWithId(1), 10);
+    c.offer(seedWithId(2), 20);
+
+    std::vector<SeedShare> first = c.exportTopShared(1);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].seed->id, 2u);
+    EXPECT_EQ(first[0].contentHash, first[0].seed->contentHash());
+
+    // Still in the top-K: the same block, not a fresh copy.
+    std::vector<SeedShare> again = c.exportTopShared(1);
+    EXPECT_EQ(again[0].seed, first[0].seed);
+
+    // Seed 2 leaves the top-K: the corpus drops its block, so it is
+    // freed once the last importer lets go.
+    const std::weak_ptr<const Seed> dropped = first[0].seed;
+    first.clear();
+    c.offer(seedWithId(3), 30);
+    const std::vector<SeedShare> next = c.exportTopShared(1);
+    EXPECT_EQ(next[0].seed->id, 3u);
+    EXPECT_FALSE(dropped.expired()); // `again` still holds it
+    again.clear();
+    EXPECT_TRUE(dropped.expired());
 }
 
 } // namespace
