@@ -11,6 +11,7 @@
 #include "common/lfsr.hh"
 #include "coverage/coverage_map.hh"
 #include "fuzzer/generator.hh"
+#include "fuzzer/turbofuzzer.hh"
 #include "harness/campaign.hh"
 #include "isa/encoding.hh"
 #include "rtl/cores.hh"
@@ -54,8 +55,11 @@ BM_BlockGeneration(benchmark::State &state)
     fuzzer::MemoryLayout layout;
     fuzzer::BlockBuilder builder(layout, &lib, fuzzer::GenProbs{});
     Rng rng(1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(builder.buildRandomBlock(rng));
+    for (auto _ : state) {
+        fuzzer::SeedBlock block;
+        builder.buildRandomBlockInto(block, rng);
+        benchmark::DoNotOptimize(block);
+    }
 }
 BENCHMARK(BM_BlockGeneration);
 
@@ -66,13 +70,39 @@ BM_OperandMutation(benchmark::State &state)
     fuzzer::MemoryLayout layout;
     fuzzer::BlockBuilder builder(layout, &lib, fuzzer::GenProbs{});
     Rng rng(1);
-    fuzzer::SeedBlock block = builder.buildRandomBlock(rng);
+    fuzzer::SeedBlock block;
+    builder.buildRandomBlockInto(block, rng);
     for (auto _ : state) {
         builder.mutateOperands(block, rng);
         benchmark::DoNotOptimize(block);
     }
 }
 BENCHMARK(BM_OperandMutation);
+
+/**
+ * One generation pipeline pass at the paper's 4,000 instructions:
+ * generateIteration (blocks, fix-up, memory image) plus reportResult
+ * (corpus feedback). Every fourth iteration reports a coverage gain,
+ * so seeds are archived and the mutation modes run too.
+ * items_per_second is generated instructions per host second.
+ */
+void
+BM_GenerateIteration(benchmark::State &state)
+{
+    static isa::InstructionLibrary lib = harness::makeDefaultLibrary();
+    fuzzer::FuzzerOptions fopts;
+    fopts.instrsPerIteration = 4000;
+    fuzzer::TurboFuzzer fz(fopts, &lib);
+    soc::Memory mem;
+    uint64_t generated = 0;
+    for (auto _ : state) {
+        const fuzzer::IterationInfo info = fz.generateIteration(mem);
+        fz.reportResult(info, info.iterationIndex % 4 == 0 ? 1 : 0);
+        generated += info.generatedInstrs;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(generated));
+}
+BENCHMARK(BM_GenerateIteration)->Unit(benchmark::kMicrosecond);
 
 void
 BM_CoverageIndex(benchmark::State &state)

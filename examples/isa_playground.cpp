@@ -43,7 +43,8 @@ main(int argc, char **argv)
     uint64_t addr = layout.instrBase;
     std::printf("direct-mode instruction blocks:\n");
     for (int b = 0; b < nblocks; ++b) {
-        const fuzzer::SeedBlock block = builder.buildRandomBlock(rng);
+        fuzzer::SeedBlock block;
+        builder.buildRandomBlockInto(block, rng);
         std::printf("block %d (%u instrs%s):\n", b, block.instrCount(),
                     block.isControlFlow ? ", control-flow" : "");
         for (size_t i = 0; i < block.insns.size(); ++i) {

@@ -88,7 +88,8 @@ CascadeGenerator::generate(soc::Memory &mem)
     std::vector<SeedBlock> blocks;
     uint32_t emitted = 0;
     while (emitted + 2 < targetInstrs) {
-        SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         if (b.isControlFlow)
             continue; // control flow is added as explicit chaining
         emitted += b.instrCount() + 1; // +1 for the chaining jump

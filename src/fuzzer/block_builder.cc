@@ -14,13 +14,6 @@ using isa::Opcode;
 using isa::Operands;
 namespace csr = isa::csr;
 
-bool
-isControlFlowInsn(uint32_t insn)
-{
-    const isa::Decoded d = isa::decode(insn);
-    return d.valid && d.desc->isControlFlow();
-}
-
 void
 pcrelHiLo(int64_t delta, int64_t &hi20, int64_t &lo12)
 {
@@ -109,10 +102,11 @@ BlockBuilder::randomOperands(Opcode op, Rng &rng) const
     return o;
 }
 
-SeedBlock
-BlockBuilder::buildRandomBlock(Rng &rng)
+// tflint: hot-path
+void
+BlockBuilder::buildRandomBlockInto(SeedBlock &block, Rng &rng)
 {
-    SeedBlock block;
+    TF_ASSERT(block.insns.empty(), "block must be freshly constructed");
     Opcode prime;
     if (rng.chance(genProbs.controlFlowShare.num,
                    genProbs.controlFlowShare.den)) {
@@ -218,11 +212,8 @@ BlockBuilder::buildRandomBlock(Rng &rng)
     block.targetBlock = -1;
 
     // Architectural validation before the block can be committed.
-    const isa::Decoded check =
-        isa::decode(block.insns[block.primeIdx]);
-    TF_ASSERT(check.valid && check.op == prime,
+    TF_ASSERT(isa::decodesAs(block.insns[block.primeIdx], prime),
               "generated prime failed validation");
-    return block;
 }
 
 void
@@ -267,22 +258,51 @@ BlockBuilder::mutateOperands(SeedBlock &block, Rng &rng) const
         word = mutated;
 }
 
+namespace
+{
+
+/** B-format immediate bits of @p imm, as encode() places them. */
+uint32_t
+branchImmBits(int64_t imm)
+{
+    const auto v = static_cast<uint64_t>(imm);
+    return static_cast<uint32_t>(bit(v, 11)) << 7 |
+           static_cast<uint32_t>(bits(v, 4, 1)) << 8 |
+           static_cast<uint32_t>(bits(v, 10, 5)) << 25 |
+           static_cast<uint32_t>(bit(v, 12)) << 31;
+}
+
+/** J-format immediate bits of @p imm, as encode() places them. */
+uint32_t
+jalImmBits(int64_t imm)
+{
+    const auto v = static_cast<uint64_t>(imm);
+    return static_cast<uint32_t>(bits(v, 19, 12)) << 12 |
+           static_cast<uint32_t>(bit(v, 11)) << 20 |
+           static_cast<uint32_t>(bits(v, 10, 1)) << 21 |
+           static_cast<uint32_t>(bit(v, 20)) << 31;
+}
+
+} // namespace
+
 int64_t
 patchBlockTarget(SeedBlock &b, int64_t block_idx, int64_t target,
                  std::span<const uint64_t> block_addrs)
 {
     const int64_t i = block_idx;
     uint32_t &word = b.insns[b.primeIdx];
-    const isa::Decoded dec = isa::decode(word);
-    TF_ASSERT(dec.valid, "control-flow prime no longer decodes");
 
     b.targetBlock = static_cast<int32_t>(target);
     const uint64_t prime_addr = block_addrs[i] + 4ull * b.primeIdx;
     int64_t delta = static_cast<int64_t>(block_addrs[target]) -
                     static_cast<int64_t>(prime_addr);
 
-    isa::Operands o = dec.ops;
-    if (dec.desc->has(isa::FlagBranch)) {
+    // Branches and jal keep every field but the immediate, so their
+    // re-encode is a splice of the new immediate bits. Major opcode
+    // 0x63 decodes as a branch for every funct3 but 2 and 3.
+    const uint32_t major = word & 0x7F;
+    const auto funct3 = static_cast<uint32_t>(bits(word, 14, 12));
+    if (major == 0x63 && funct3 != 2 && funct3 != 3) {
         // B format reaches +-4 KiB; clamp far targets to the
         // nearest representable block in the chosen direction.
         while ((delta < -4096 || delta > 4094) && target != i) {
@@ -291,14 +311,19 @@ patchBlockTarget(SeedBlock &b, int64_t block_idx, int64_t target,
                     static_cast<int64_t>(prime_addr);
         }
         b.targetBlock = static_cast<int32_t>(target);
-        o.imm = delta;
-        word = isa::encode(dec.op, o);
-    } else if (dec.desc->has(isa::FlagJal)) {
+        word = (word & ~branchImmBits(-1)) | branchImmBits(delta);
+        return target;
+    }
+    if (major == 0x6F) {
         TF_ASSERT(delta >= -(1 << 20) && delta < (1 << 20),
                   "jal target out of range");
-        o.imm = delta;
-        word = isa::encode(dec.op, o);
-    } else if (b.primeIdx < 2) {
+        word = (word & ~jalImmBits(-1)) | jalImmBits(delta);
+        return target;
+    }
+
+    const isa::Decoded dec = isa::decode(word);
+    TF_ASSERT(dec.valid, "control-flow prime no longer decodes");
+    if (b.primeIdx < 2) {
         // An indirect jump without the staged auipc/addi pair (e.g.
         // a benchmark-derived return consumed as a seed, or a pair
         // the minimizer pruned): retarget it as a direct jump so

@@ -70,11 +70,12 @@ class BlockBuilder
 
     /**
      * Direct-mode generation: build one block around an LFSR-selected
-     * prime. Control-flow immediates are left as placeholders; the
-     * emitter's fix-up pass assigns targets from the global address
-     * table.
+     * prime into @p block, which must be freshly constructed (e.g.
+     * `blocks.emplace_back()`). Control-flow immediates are left as
+     * placeholders; the emitter's fix-up pass assigns targets from
+     * the global address table.
      */
-    SeedBlock buildRandomBlock(Rng &rng);
+    void buildRandomBlockInto(SeedBlock &block, Rng &rng);
 
     /**
      * Mutation-mode operand work: substitute operands / flip operand
@@ -95,9 +96,6 @@ class BlockBuilder
     const isa::InstructionLibrary *lib;
     GenProbs genProbs;
 };
-
-/** True when @p insn decodes to a branch/jal/jalr. */
-bool isControlFlowInsn(uint32_t insn);
 
 /**
  * Split a signed 32-bit pc-relative delta into the auipc/addi

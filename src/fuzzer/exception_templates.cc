@@ -1,5 +1,7 @@
 #include "fuzzer/exception_templates.hh"
 
+#include <vector>
+
 #include "isa/csr.hh"
 #include "isa/encoding.hh"
 
@@ -10,8 +12,11 @@ using isa::Opcode;
 using isa::Operands;
 namespace csr = isa::csr;
 
+namespace
+{
+
 std::vector<uint32_t>
-ExceptionTemplates::handlerCode()
+encodeHandler()
 {
     constexpr unsigned tmp = MemoryLayout::regHandlerTmp;
     std::vector<uint32_t> code;
@@ -72,20 +77,26 @@ ExceptionTemplates::handlerCode()
     return code;
 }
 
+} // namespace
+
+std::span<const uint32_t>
+ExceptionTemplates::handlerCode()
+{
+    static const std::vector<uint32_t> code = encodeHandler();
+    return code;
+}
+
 uint32_t
 ExceptionTemplates::handlerLength()
 {
-    static const uint32_t len =
-        static_cast<uint32_t>(handlerCode().size());
-    return len;
+    return static_cast<uint32_t>(handlerCode().size());
 }
 
 uint64_t
 ExceptionTemplates::install(soc::Memory &mem, const MemoryLayout &layout)
 {
-    const auto code = handlerCode();
-    for (size_t i = 0; i < code.size(); ++i)
-        mem.write32(layout.handlerBase + 4 * i, code[i]);
+    const std::span<const uint32_t> code = handlerCode();
+    mem.writeWords(layout.handlerBase, code.data(), code.size());
     return layout.handlerBase;
 }
 

@@ -15,7 +15,7 @@
 #define TURBOFUZZ_FUZZER_EXCEPTION_TEMPLATES_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "fuzzer/context.hh"
 #include "soc/memory.hh"
@@ -27,8 +27,8 @@ namespace turbofuzz::fuzzer
 class ExceptionTemplates
 {
   public:
-    /** Instruction words of the resume handler. */
-    static std::vector<uint32_t> handlerCode();
+    /** Instruction words of the resume handler (built once). */
+    static std::span<const uint32_t> handlerCode();
 
     /** Number of instructions the handler executes per trap. */
     static uint32_t handlerLength();

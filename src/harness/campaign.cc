@@ -12,12 +12,12 @@ namespace turbofuzz::harness
 namespace
 {
 
-/** Zero [from, to) word-wise (both campaign scrub ranges are small). */
+/** Zero the words overlapping [from, to): [from & ~3, roundup4(to)). */
 void
 scrubRange(soc::Memory &mem, uint64_t from, uint64_t to)
 {
-    for (uint64_t addr = from & ~uint64_t{3}; addr < to; addr += 4)
-        mem.write32(addr, 0);
+    const uint64_t lo = from & ~uint64_t{3};
+    mem.clearRange(lo, ((to + 3) & ~uint64_t{3}) - lo);
 }
 
 } // namespace
@@ -207,10 +207,9 @@ Campaign::runIteration()
     if (instrDirtyHigh > info.codeBoundary)
         scrubRange(dutMem, info.codeBoundary, instrDirtyHigh);
     instrDirtyHigh = info.codeBoundary;
-    static const uint64_t handler_words =
-        fuzzer::ExceptionTemplates::handlerCode().size();
     const uint64_t handler_code_end =
-        lay.handlerBase + 4ull * handler_words;
+        lay.handlerBase +
+        4ull * fuzzer::ExceptionTemplates::handlerLength();
     if (handlerDirtyHigh > handler_code_end)
         scrubRange(dutMem, handler_code_end, handlerDirtyHigh);
     handlerDirtyHigh = handler_code_end;

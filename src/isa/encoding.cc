@@ -120,6 +120,42 @@ decodeBuckets()
     return buckets;
 }
 
+/**
+ * decodesAs() tables, indexed by opcode: the opcode's match/mask and
+ * the match/masks of the entries ahead of it in its decode bucket
+ * that some word could match together with it. Entries that can
+ * never match alongside it cannot change decode()'s first match.
+ */
+struct DecodeGuard
+{
+    MatchMask mm;
+    std::vector<MatchMask> shadowedBy;
+};
+
+const std::vector<DecodeGuard> &
+decodeGuards()
+{
+    static const auto guards = [] {
+        std::vector<DecodeGuard> g(numOpcodes());
+        for (const auto &bucket : decodeBuckets()) {
+            for (size_t i = 0; i < bucket.size(); ++i) {
+                const MatchMask mm = bucket[i].mm;
+                DecodeGuard &guard =
+                    g[static_cast<size_t>(bucket[i].desc->op)];
+                guard.mm = mm;
+                for (size_t j = 0; j < i; ++j) {
+                    const MatchMask other = bucket[j].mm;
+                    if (((mm.match ^ other.match) & mm.mask &
+                         other.mask) == 0)
+                        guard.shadowedBy.push_back(other);
+                }
+            }
+        }
+        return g;
+    }();
+    return guards;
+}
+
 /** Extract decoded operands for a matched descriptor. */
 Operands
 extractOperands(uint32_t insn, const InstrDesc &d)
@@ -186,6 +222,19 @@ extractOperands(uint32_t insn, const InstrDesc &d)
 }
 
 } // namespace
+
+// tflint: hot-path
+bool
+decodesAs(uint32_t insn, Opcode op)
+{
+    const DecodeGuard &g = decodeGuards()[static_cast<size_t>(op)];
+    if ((insn & g.mm.mask) != g.mm.match)
+        return false;
+    for (const MatchMask &other : g.shadowedBy)
+        if ((insn & other.mask) == other.match)
+            return false;
+    return true;
+}
 
 MatchMask
 matchMaskOf(Opcode op)

@@ -53,6 +53,13 @@ uint32_t encode(Opcode op, const Operands &ops);
 /** Decode a 32-bit instruction word; invalid words yield !valid. */
 Decoded decode(uint32_t insn);
 
+/**
+ * Exactly `decode(insn).valid && decode(insn).op == op`, without
+ * extracting operands: @p op's own match/mask test plus the few
+ * entries decode() would try first that could also match.
+ */
+bool decodesAs(uint32_t insn, Opcode op);
+
 /** Match/mask pair identifying an instruction (riscv-opcodes style). */
 struct MatchMask
 {

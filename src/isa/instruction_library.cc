@@ -68,6 +68,25 @@ InstructionLibrary::rebuild()
         acc += w;
         cumWeights.push_back(acc);
     }
+
+    // Guide entry b: upper_bound of the smallest product bucket b can
+    // produce. u = k * 2^-53 for a 53-bit k, and the product below is
+    // pick()'s expression, monotone in k, so every draw in the bucket
+    // has its upper_bound at or after the entry.
+    pickGuide.clear();
+    if (activeOps.empty())
+        return;
+    TF_ASSERT(activeOps.size() <= UINT16_MAX, "library too large");
+    constexpr size_t buckets = size_t{1} << pickGuideBits;
+    pickGuide.resize(buckets);
+    for (size_t b = 0; b < buckets; ++b) {
+        const double u = static_cast<double>(b << (53 - pickGuideBits)) *
+                         0x1.0p-53;
+        const double r = u * acc;
+        pickGuide[b] = static_cast<uint16_t>(
+            std::upper_bound(cumWeights.begin(), cumWeights.end(), r) -
+            cumWeights.begin());
+    }
 }
 
 const std::vector<Opcode> &
@@ -76,23 +95,31 @@ InstructionLibrary::active() const
     return activeOps;
 }
 
+// tflint: hot-path
 Opcode
 InstructionLibrary::pick(Rng &rng) const
 {
     TF_ASSERT(!activeOps.empty(), "instruction library is empty");
     const double total = cumWeights.back();
-    const double r = rng.uniform() * total;
-    const auto it =
-        std::upper_bound(cumWeights.begin(), cumWeights.end(), r);
-    const size_t idx = static_cast<size_t>(it - cumWeights.begin());
-    return activeOps[std::min(idx, activeOps.size() - 1)];
+    const double u = rng.uniform();
+    const double r = u * total;
+    // u * 2^pickGuideBits is exact: its floor is the draw's top bits.
+    size_t idx = pickGuide[static_cast<size_t>(
+        u * static_cast<double>(size_t{1} << pickGuideBits))];
+    const size_t n = cumWeights.size();
+    while (idx < n && cumWeights[idx] <= r)
+        ++idx;
+    return activeOps[std::min(idx, n - 1)];
 }
 
 bool
 InstructionLibrary::contains(Opcode op) const
 {
-    return std::find(activeOps.begin(), activeOps.end(), op) !=
-           activeOps.end();
+    // The filter rebuild() applies, evaluated for one opcode.
+    const InstrDesc &d = descOf(op);
+    return enabled[static_cast<size_t>(d.ext)] &&
+           !excluded[static_cast<size_t>(op)] &&
+           weights[static_cast<size_t>(d.ext)] > 0.0;
 }
 
 } // namespace turbofuzz::isa

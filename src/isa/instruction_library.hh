@@ -59,8 +59,20 @@ class InstructionLibrary
     /** Currently selectable opcodes (rebuilt eagerly on change). */
     const std::vector<Opcode> &active() const;
 
-    /** Draw a random opcode honoring enables, exclusions and weights. */
+    /**
+     * Draw a random opcode honoring enables, exclusions and weights:
+     * one uniform() draw u, then the first opcode whose cumulative
+     * weight exceeds u * total (the upper_bound of that product).
+     */
     Opcode pick(Rng &rng) const;
+
+    /**
+     * pick() looks its answer up in a guide table of 2^pickGuideBits
+     * entries, indexed by the top bits of u: each entry holds the
+     * upper_bound of the smallest product its bucket can produce, so
+     * a short forward scan from it lands on the exact upper_bound.
+     */
+    static constexpr unsigned pickGuideBits = 10;
 
     /** Number of currently selectable opcodes. */
     size_t activeCount() const { return active().size(); }
@@ -82,6 +94,7 @@ class InstructionLibrary
 
     std::vector<Opcode> activeOps;
     std::vector<double> cumWeights;
+    std::vector<uint16_t> pickGuide; ///< see pickGuideBits
 };
 
 } // namespace turbofuzz::isa

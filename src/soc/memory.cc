@@ -1,5 +1,6 @@
 #include "soc/memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -42,19 +43,42 @@ Memory::pageFor(uint64_t addr)
 void
 Memory::noteWrite(uint64_t addr, uint64_t len)
 {
-    if (watches.empty()) {
-        ++globalEpoch;
-        return;
-    }
-    bool matched = false;
+    // Bump every watch the range overlaps, and the global slot unless
+    // one watch holds the whole range (bytes outside every watch are
+    // fetched under the global slot).
+    bool contained = false;
     for (FetchWatch &w : watches) {
         if (addr < w.base + w.size && addr + len > w.base) {
             ++w.epoch;
-            matched = true;
+            contained |= addr >= w.base && addr + len <= w.base + w.size;
         }
     }
-    if (!matched)
+    if (!contained)
         ++globalEpoch;
+}
+
+void
+Memory::writeSpan(uint64_t addr, const uint8_t *src, uint64_t len)
+{
+    if (journal) {
+        for (uint64_t i = 0; i < len; ++i)
+            write8(addr + i, src ? src[i] : 0);
+        return;
+    }
+    while (len > 0) {
+        const uint64_t off = addr % pageSize;
+        const uint64_t chunk = std::min(len, pageSize - off);
+        uint8_t *dst = pageFor(addr).data() + off;
+        if (src) {
+            std::memcpy(dst, src, chunk);
+            src += chunk;
+        } else {
+            std::memset(dst, 0, chunk);
+        }
+        noteWrite(addr, chunk);
+        addr += chunk;
+        len -= chunk;
+    }
 }
 
 void
@@ -190,18 +214,29 @@ Memory::write64(uint64_t addr, uint64_t value)
     writeScalar(addr, value);
 }
 
+// tflint: hot-path
+void
+Memory::writeWords(uint64_t addr, const uint32_t *words, size_t n)
+{
+    if (journal) {
+        for (size_t i = 0; i < n; ++i)
+            write32(addr + 4 * i, words[i]);
+        return;
+    }
+    // write32 stores host order, as this byte copy does.
+    writeSpan(addr, reinterpret_cast<const uint8_t *>(words), 4 * n);
+}
+
 void
 Memory::loadBlob(uint64_t addr, const uint8_t *data, size_t size)
 {
-    for (size_t i = 0; i < size; ++i)
-        write8(addr + i, data[i]);
+    writeSpan(addr, data, size);
 }
 
 void
 Memory::clearRange(uint64_t addr, uint64_t size)
 {
-    for (uint64_t a = addr; a < addr + size; ++a)
-        write8(a, 0);
+    writeSpan(addr, nullptr, size);
 }
 
 void

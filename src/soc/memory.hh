@@ -85,10 +85,20 @@ class Memory
     void write32(uint64_t addr, uint32_t value);
     void write64(uint64_t addr, uint64_t value);
 
-    /** Copy a blob into memory starting at @p addr. */
+    /**
+     * Write @p n consecutive 32-bit words starting at @p addr: the
+     * same bytes as n write32() calls, copied one page chunk at a
+     * time with one fetch-epoch bump per chunk. With a journal
+     * attached it falls back to per-word write32() so undo() stays
+     * exact.
+     */
+    void writeWords(uint64_t addr, const uint32_t *words, size_t n);
+
+    /** Copy a blob into memory starting at @p addr (chunked as
+     *  writeWords()). */
     void loadBlob(uint64_t addr, const uint8_t *data, size_t size);
 
-    /** Zero-fill a range (allocates pages). */
+    /** Zero-fill a range (allocates pages; chunked as writeWords()). */
     void clearRange(uint64_t addr, uint64_t size);
 
     /** Drop every page (full reset). */
@@ -124,6 +134,11 @@ class Memory
      * every watch bumps the global epoch (which covers fetches from
      * unwatched addresses). With no watches registered every write
      * bumps the global epoch — conservative but always correct.
+     *
+     * A bulk write (writeWords, loadBlob, clearRange) bumps once per
+     * page chunk rather than once per word. Readers only compare an
+     * epoch for equality with their snapshot, so one bump makes every
+     * snapshot of the slot stale exactly as many bumps would.
      */
     void addFetchWatch(uint64_t base, uint64_t size);
 
@@ -169,6 +184,9 @@ class Memory
     const Page *findPage(uint64_t addr) const;
     Page &pageFor(uint64_t addr);
     void noteWrite(uint64_t addr, uint64_t len);
+    /** Write @p len bytes from @p src (zeros when null) a page chunk
+     *  at a time; byte writes while a journal is attached. */
+    void writeSpan(uint64_t addr, const uint8_t *src, uint64_t len);
     void bumpAllEpochs();
 
     void

@@ -114,6 +114,38 @@ TEST(DecodeCache, ExternalStoreToCachedAddressRedecodes)
 }
 
 /**
+ * A bulk rewrite (Memory::writeWords, as iteration materialization
+ * uses) bumps the fetch epoch once per page chunk; a cached line over
+ * a rewritten word must still re-decode, and one over an unchanged
+ * word must still hit.
+ */
+TEST(DecodeCache, BulkWriteInvalidatesCachedLine)
+{
+    ScopedDecodeCacheEnv on(nullptr);
+    soc::Memory mem;
+    mem.addFetchWatch(base, 0x10000);
+    std::vector<uint32_t> code = {
+        isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 7)),
+        isa::encode(Opcode::Addi, opsRdRs1Imm(2, 0, 5)),
+    };
+    mem.writeWords(base, code.data(), code.size());
+
+    Iss iss(&mem);
+    iss.reset(base);
+    EXPECT_EQ(iss.step().rdValue, 7u);
+    EXPECT_EQ(iss.step().rdValue, 5u);
+
+    code[0] = isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 9));
+    mem.writeWords(base, code.data(), code.size());
+    const Iss::DecodeStats before = iss.decodeStats();
+    iss.reset(base);
+    EXPECT_EQ(iss.step().rdValue, 9u);
+    EXPECT_EQ(iss.step().rdValue, 5u);
+    EXPECT_EQ(iss.decodeStats().invalidate, before.invalidate + 1);
+    EXPECT_EQ(iss.decodeStats().hit, before.hit + 1);
+}
+
+/**
  * Self-modifying regression: a program overwrites an instruction it
  * already executed (and therefore cached), loops back, and must
  * observe its own store.

@@ -30,7 +30,8 @@ class BlockBuilderTest : public ::testing::Test
 TEST_F(BlockBuilderTest, EveryBlockDecodesCompletely)
 {
     for (int i = 0; i < 2000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         ASSERT_FALSE(b.insns.empty());
         ASSERT_LT(b.primeIdx, b.insns.size());
         for (uint32_t w : b.insns)
@@ -44,7 +45,8 @@ TEST_F(BlockBuilderTest, ControlFlowFlagMatchesPrime)
     int cf_blocks = 0;
     const int n = 3000;
     for (int i = 0; i < n; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
         EXPECT_EQ(b.isControlFlow, d.desc->isControlFlow());
         cf_blocks += b.isControlFlow;
@@ -60,7 +62,8 @@ TEST_F(BlockBuilderTest, MemoryBlocksStageTheirOwnAddress)
     // Memory primes must use the scratch register staged inside the
     // block (never rely on live-in register state).
     for (int i = 0; i < 3000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
         if (!d.desc->isMemAccess())
             continue;
@@ -81,7 +84,8 @@ TEST_F(BlockBuilderTest, MemoryBlocksStageTheirOwnAddress)
 TEST_F(BlockBuilderTest, AtomicsAreAlignmentMasked)
 {
     for (int i = 0; i < 4000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
         if (!d.desc->has(isa::FlagAtomic))
             continue;
@@ -102,7 +106,8 @@ TEST_F(BlockBuilderTest, AtomicsAreAlignmentMasked)
 TEST_F(BlockBuilderTest, CsrPrimesAvoidMtvec)
 {
     for (int i = 0; i < 4000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
         if (d.valid && d.desc->has(isa::FlagCsr))
             EXPECT_NE(d.ops.csr, isa::csr::mtvec);
@@ -112,7 +117,8 @@ TEST_F(BlockBuilderTest, CsrPrimesAvoidMtvec)
 TEST_F(BlockBuilderTest, MutationPreservesOpcodeAndValidity)
 {
     for (int i = 0; i < 2000; ++i) {
-        SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Opcode before =
             isa::decode(b.insns[b.primeIdx]).op;
         builder.mutateOperands(b, rng);
@@ -125,7 +131,8 @@ TEST_F(BlockBuilderTest, MutationPreservesOpcodeAndValidity)
 TEST_F(BlockBuilderTest, MutationKeepsMemoryAddressingBound)
 {
     for (int i = 0; i < 4000; ++i) {
-        SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Decoded before = isa::decode(b.insns[b.primeIdx]);
         if (!before.desc->isMemAccess())
             continue;
@@ -134,6 +141,49 @@ TEST_F(BlockBuilderTest, MutationKeepsMemoryAddressingBound)
         const isa::Decoded after = isa::decode(b.insns[b.primeIdx]);
         EXPECT_EQ(after.ops.rs1, MemoryLayout::regScratch);
         EXPECT_EQ(after.ops.imm, before.ops.imm);
+    }
+}
+
+/**
+ * patchBlockTarget's immediate splice against its oracle, a decode
+ * and re-encode with the new immediate: every branch and jal prime,
+ * random registers, random in-range deltas in both directions.
+ */
+TEST(BlockBuilder, PatchBlockTargetMatchesReencode)
+{
+    Rng rng(11);
+    for (const auto &d : isa::allDescs()) {
+        const bool branch = d.has(isa::FlagBranch);
+        if (!branch && !d.has(isa::FlagJal))
+            continue;
+        const int64_t reach = branch ? 2048 : 1 << 19;
+        for (int i = 0; i < 5000; ++i) {
+            isa::Operands o;
+            o.rd = static_cast<uint8_t>(rng.range(32));
+            o.rs1 = static_cast<uint8_t>(rng.range(32));
+            o.rs2 = static_cast<uint8_t>(rng.range(32));
+            o.imm = 2 * (static_cast<int64_t>(rng.range(2 * reach)) -
+                         reach);
+            SeedBlock b;
+            b.insns.push_back(isa::encode(d.op, o));
+            b.primeIdx = 0;
+            b.isControlFlow = true;
+            const uint32_t old_word = b.insns[0];
+
+            const int64_t delta =
+                2 * (static_cast<int64_t>(rng.range(2 * reach)) - reach);
+            const uint64_t src = 0x10000000ull + (1ull << 21);
+            const uint64_t addrs[] = {src,
+                                      src + static_cast<uint64_t>(delta)};
+            ASSERT_EQ(patchBlockTarget(b, 0, 1, addrs), 1);
+
+            isa::Decoded dec = isa::decode(old_word);
+            ASSERT_TRUE(dec.valid);
+            dec.ops.imm = delta;
+            ASSERT_EQ(b.insns[0], isa::encode(dec.op, dec.ops))
+                << d.mnemonic << " delta " << delta;
+            EXPECT_EQ(b.targetBlock, 1);
+        }
     }
 }
 
@@ -159,7 +209,8 @@ TEST(GenProbsTest, ValidRmOnlyProducesNoReservedModes)
     BlockBuilder builder(layout, &lib, probs);
     Rng rng(3);
     for (int i = 0; i < 3000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
+        SeedBlock b;
+        builder.buildRandomBlockInto(b, rng);
         const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
         if (d.desc->has(isa::FlagHasRm))
             EXPECT_LT(d.ops.rm, 5);

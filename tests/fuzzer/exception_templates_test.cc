@@ -29,7 +29,8 @@ TEST(ExceptionTemplates, InstallWritesHandler)
     MemoryLayout lay;
     const uint64_t base = ExceptionTemplates::install(mem, lay);
     EXPECT_EQ(base, lay.handlerBase);
-    const auto code = ExceptionTemplates::handlerCode();
+    const std::span<const uint32_t> code =
+        ExceptionTemplates::handlerCode();
     for (size_t i = 0; i < code.size(); ++i)
         EXPECT_EQ(mem.read32(base + 4 * i), code[i]);
 }

@@ -120,6 +120,43 @@ TEST(Encoding, MretRoundTrip)
     EXPECT_EQ(d.op, Opcode::Mret);
 }
 
+/**
+ * decodesAs() against its oracle, decode(). Every opcode's own match
+ * word with random don't-care bits exercises the first-match order
+ * inside a bucket; uniformly random words cover the rest. (No two
+ * entries of today's table can match one word, so this is also the
+ * check that a future overlapping entry is shadowed correctly.)
+ */
+TEST(Encoding, DecodesAsMatchesDecode)
+{
+    Rng rng(2026);
+    uint64_t checked = 0;
+    auto check = [&](uint32_t w) {
+        const Decoded d = decode(w);
+        for (const auto &desc : allDescs()) {
+            const bool expect = d.valid && d.op == desc.op;
+            if (decodesAs(w, desc.op) != expect) {
+                ADD_FAILURE() << std::hex << "word 0x" << w << " op "
+                              << desc.mnemonic << " expected "
+                              << expect;
+                return false;
+            }
+        }
+        ++checked;
+        return true;
+    };
+    for (const auto &desc : allDescs()) {
+        const MatchMask mm = matchMaskOf(desc.op);
+        for (int i = 0; i < 2000; ++i) {
+            const auto noise = static_cast<uint32_t>(rng.next());
+            ASSERT_TRUE(check(mm.match | (noise & ~mm.mask)));
+        }
+    }
+    for (int i = 0; i < 1000000; ++i)
+        ASSERT_TRUE(check(static_cast<uint32_t>(rng.next())));
+    EXPECT_GE(checked, 1000000u);
+}
+
 /** Generate legal random operands for a given format. */
 Operands
 randomOperands(const InstrDesc &d, Rng &rng)

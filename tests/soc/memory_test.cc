@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "soc/memory.hh"
 #include "soc/snapshot.hh"
 
@@ -95,6 +97,123 @@ TEST(Memory, Reset)
     m.reset();
     EXPECT_EQ(m.read8(0x42), 0u);
     EXPECT_EQ(m.residentPages(), 0u);
+}
+
+/** Every resident page, serialized: the complete memory image. */
+std::vector<uint8_t>
+imageOf(const Memory &m)
+{
+    SnapshotWriter out;
+    m.saveState(out);
+    return out.takeBuffer();
+}
+
+/** Memory with a little content on the pages the tests rewrite. */
+Memory
+prefilled()
+{
+    Memory m;
+    for (uint64_t a = 0x4000; a < 0x7000; a += 0x3F8)
+        m.write64(a, 0x0123456789ABCDEFull ^ a);
+    return m;
+}
+
+/**
+ * The bulk writes against their oracles, per-word write32 and
+ * per-byte write8: same bytes, same resident pages, for a
+ * page-straddling range, an unaligned start and fresh pages.
+ */
+TEST(Memory, WriteWordsMatchesWrite32)
+{
+    std::vector<uint32_t> words(700);
+    for (size_t i = 0; i < words.size(); ++i)
+        words[i] = static_cast<uint32_t>(0x9E3779B9u * (i + 1));
+
+    struct Range
+    {
+        uint64_t addr;
+        size_t n;
+    };
+    for (const Range r : {Range{0x5000 - 40, 300}, Range{0x5002, 50},
+                          Range{0x4FFE, 700}, Range{0x9000, 1},
+                          Range{0x6000, 0}}) {
+        Memory oracle = prefilled();
+        for (size_t i = 0; i < r.n; ++i)
+            oracle.write32(r.addr + 4 * i, words[i]);
+        Memory fast = prefilled();
+        fast.writeWords(r.addr, words.data(), r.n);
+        EXPECT_EQ(imageOf(fast), imageOf(oracle))
+            << std::hex << "writeWords at 0x" << r.addr;
+
+        const auto *bytes =
+            reinterpret_cast<const uint8_t *>(words.data());
+        Memory blob_oracle = prefilled();
+        Memory blob = prefilled();
+        for (size_t i = 0; i < 4 * r.n; ++i)
+            blob_oracle.write8(r.addr + i, bytes[i]);
+        blob.loadBlob(r.addr, bytes, 4 * r.n);
+        EXPECT_EQ(imageOf(blob), imageOf(blob_oracle))
+            << std::hex << "loadBlob at 0x" << r.addr;
+
+        for (size_t i = 0; i < 4 * r.n; ++i)
+            blob_oracle.write8(r.addr + i, 0);
+        blob.clearRange(r.addr, 4 * r.n);
+        EXPECT_EQ(imageOf(blob), imageOf(blob_oracle))
+            << std::hex << "clearRange at 0x" << r.addr;
+    }
+}
+
+TEST(Memory, WriteWordsUnderJournalUndoesExactly)
+{
+    std::vector<uint32_t> words(2000, 0xA5A5A5A5u);
+    Memory m = prefilled();
+    const std::vector<uint8_t> before = imageOf(m);
+
+    MemWriteJournal j;
+    m.setJournal(&j);
+    // Rewrites existing pages and allocates fresh ones.
+    m.writeWords(0x5FF0, words.data(), words.size());
+    m.clearRange(0x4100, 0x20);
+    const uint8_t blob[] = {1, 2, 3};
+    m.loadBlob(0x20FFF, blob, sizeof(blob));
+    m.setJournal(nullptr);
+    EXPECT_EQ(m.read32(0x5FF0), 0xA5A5A5A5u);
+
+    m.undo(j);
+    EXPECT_EQ(imageOf(m), before);
+}
+
+TEST(Memory, WriteWordsBumpsWatchedEpoch)
+{
+    // The watch ends mid-page, so one page chunk can straddle it.
+    Memory m;
+    m.addFetchWatch(0x10000, 0x3800);
+    const uint32_t inside = m.fetchSlotFor(0x12000);
+    ASSERT_NE(inside, 0u);
+    const std::vector<uint32_t> words(0x3800 / 4, 0x13u);
+
+    // A range wholly inside the watch moves only the watch's epoch.
+    uint64_t watch_epoch = m.fetchEpochOfSlot(inside);
+    uint64_t global_epoch = m.fetchEpochOfSlot(0);
+    m.writeWords(0x10000, words.data(), words.size());
+    EXPECT_NE(m.fetchEpochOfSlot(inside), watch_epoch);
+    EXPECT_EQ(m.fetchEpochOfSlot(0), global_epoch);
+
+    // A range running past the watch moves both, even within one
+    // page chunk: the bytes beyond it are fetched under the global
+    // slot.
+    watch_epoch = m.fetchEpochOfSlot(inside);
+    global_epoch = m.fetchEpochOfSlot(0);
+    m.writeWords(0x13400, words.data(), 0x200);
+    EXPECT_NE(m.fetchEpochOfSlot(inside), watch_epoch);
+    EXPECT_NE(m.fetchEpochOfSlot(0), global_epoch);
+
+    // A range outside every watch moves only the global slot.
+    watch_epoch = m.fetchEpochOfSlot(inside);
+    global_epoch = m.fetchEpochOfSlot(0);
+    m.clearRange(0x30000, 64);
+    EXPECT_EQ(m.fetchEpochOfSlot(inside), watch_epoch);
+    EXPECT_NE(m.fetchEpochOfSlot(0), global_epoch);
 }
 
 TEST(MemoryJournal, UndoRestoresPriorContents)
