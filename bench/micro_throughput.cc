@@ -119,6 +119,52 @@ BM_CoverageIndex(benchmark::State &state)
 }
 BENCHMARK(BM_CoverageIndex);
 
+/**
+ * The engine's sweep stage on its own: consecutive 64-commit
+ * recordTrace() calls on one driver and one map (state carries from
+ * sweep to sweep, as in a campaign) over DUT commits captured once
+ * from a clean Rocket campaign. items_per_second reports swept
+ * commits per host second.
+ */
+void
+BM_CoverageSweep(benchmark::State &state)
+{
+    static isa::InstructionLibrary lib = harness::makeDefaultLibrary();
+    static const std::vector<core::CommitInfo> commits = [] {
+        std::vector<core::CommitInfo> out;
+        harness::CampaignOptions opts;
+        opts.timing = soc::turboFuzzProfile();
+        opts.commitObserver = [&out](const core::CommitInfo &ci) {
+            out.push_back(ci);
+        };
+        fuzzer::FuzzerOptions fopts;
+        fopts.instrsPerIteration = 1000;
+        harness::Campaign campaign(
+            opts, std::make_unique<fuzzer::TurboFuzzGenerator>(
+                      fopts, &lib));
+        while (out.size() < (size_t{1} << 16))
+            campaign.runIteration();
+        out.resize(out.size() / 64 * 64);
+        return out;
+    }();
+
+    auto design = rtl::buildRocketLike();
+    rtl::EventDriver drv(design.get());
+    coverage::DesignInstrumentation instr(
+        design.get(), coverage::Scheme::Optimized, 15, 1);
+    coverage::CoverageMap map(&instr);
+    size_t at = 0;
+    uint64_t swept = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            map.recordTrace(drv, commits.data() + at, 64));
+        at = (at + 64) % commits.size();
+        swept += 64;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(swept));
+}
+BENCHMARK(BM_CoverageSweep);
+
 void
 BM_IssStep(benchmark::State &state)
 {

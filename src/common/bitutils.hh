@@ -70,6 +70,20 @@ isAligned(uint64_t value, uint64_t align)
     return (value & (align - 1)) == 0;
 }
 
+/**
+ * Population count, inline SWAR. The default build targets baseline
+ * x86-64 (no POPCNT), where __builtin_popcountll is an out-of-line
+ * libgcc call; this stays in registers on every target.
+ */
+constexpr unsigned
+popcount64(uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ull);
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
+
 /** Number of bits needed to represent values in [0, n). */
 constexpr unsigned
 ceilLog2(uint64_t n)

@@ -80,8 +80,8 @@ class CommitTrace
     CommitInfo &
     append()
     {
-        if (used == buf.size())
-            buf.emplace_back();
+        if (used == buf.size()) [[unlikely]]
+            grow();
         return buf[used++];
     }
 
@@ -164,6 +164,14 @@ class CommitTrace
     }
 
   private:
+    /** Raise the high-water mark by one record. Kept out of line so
+     *  the steppers' hot loops carry no record construction. */
+    __attribute__((noinline)) void
+    grow()
+    {
+        buf.emplace_back();
+    }
+
     void
     growColumns(size_t n)
     {

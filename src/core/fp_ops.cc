@@ -71,15 +71,24 @@ hostRound(uint8_t rm)
 /**
  * RAII scope that clears host FP flags, applies a rounding mode, and
  * translates raised host exceptions back to RISC-V fflags.
+ *
+ * Host flags are cleared on entry only: every scope clears before its
+ * operation and nothing outside a scope reads them, so a clear on exit
+ * would be dead work (glibc's feclearexcept saves and reloads the
+ * whole x87 environment). The rounding mode is written only when it
+ * differs from the host's and restored only when it was written, so
+ * the host mode after the scope is the one before it.
  */
 class FpEnvScope
 {
   public:
     explicit FpEnvScope(uint8_t rm)
+        : savedRound(fegetround()), wantRound(hostRound(rm))
     {
-        savedRound = fegetround();
-        fesetround(hostRound(rm));
-        feclearexcept(FE_ALL_EXCEPT);
+        if (wantRound != savedRound)
+            fesetround(wantRound);
+        if (fetestexcept(FE_ALL_EXCEPT))
+            feclearexcept(FE_ALL_EXCEPT);
     }
 
     uint8_t
@@ -102,12 +111,13 @@ class FpEnvScope
 
     ~FpEnvScope()
     {
-        feclearexcept(FE_ALL_EXCEPT);
-        fesetround(savedRound);
+        if (wantRound != savedRound)
+            fesetround(savedRound);
     }
 
   private:
     int savedRound;
+    int wantRound;
 };
 
 /** Min/max with RISC-V NaN and signed-zero rules (shared S/D body). */

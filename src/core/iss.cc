@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
@@ -30,6 +31,22 @@ decodeCacheEnvEnabled()
     const char *e = std::getenv("TURBOFUZZ_DECODE_CACHE");
     return !(e && (std::strcmp(e, "0") == 0 ||
                    std::strcmp(e, "off") == 0));
+}
+
+/**
+ * The value-initialized commit record. Steps reset their record with
+ * a memcpy from it: plain assignment of CommitInfo{} (or of this
+ * constant) compiles to a `rep stos` whose microcoded start-up costs
+ * more than the whole 160-byte copy as vector stores.
+ */
+const CommitInfo kBlankCommit{};
+static_assert(std::is_trivially_copyable_v<CommitInfo>,
+              "commit records are reset with memcpy");
+
+void
+resetRecord(CommitInfo &ci)
+{
+    std::memcpy(&ci, &kBlankCommit, sizeof(CommitInfo));
 }
 
 } // namespace
@@ -300,7 +317,7 @@ Iss::step()
 void
 Iss::stepInto(CommitInfo &out)
 {
-    out = CommitInfo{};
+    resetRecord(out);
     CommitInfo &ci = out;
     ci.pc = st.pc;
     st.mcycle += 1;
@@ -398,7 +415,7 @@ Iss::stepStraight(CommitTrace &trace, uint64_t max_steps)
         // instructions only. Ebreak carries FlagSystem and is never
         // straight, so the R1 minstret suppression cannot apply here.
         CommitInfo &ci = trace.append();
-        ci = CommitInfo{};
+        resetRecord(ci);
         ci.pc = pc;
         st.mcycle += 1;
         ci.insn = e.insn;

@@ -100,20 +100,31 @@ CoverageMap::CoverageMap(const DesignInstrumentation *di) : instr(di)
     slotAgg.assign(slotModule.size(), 0);
 
     // Role-memo layout: one tag word plus one aggregate word per
-    // slot, memoLines lines per role that has entries.
-    uint32_t words = 0, lines = 0;
+    // slot, memoLines lines per role that has entries. Line i starts
+    // with tag ~i, which no value mapping to line i can equal (its
+    // low bits are ~i's complement), so an empty line never hits.
+    uint32_t words = 0;
     for (size_t r = 0; r < 64; ++r) {
         memoBase[r] = words;
-        validBase[r] = lines;
         const uint32_t nslots =
             roleSlotBegin[r + 1] - roleSlotBegin[r];
-        if (nslots != 0) {
+        if (nslots != 0)
             words += memoLines * (1 + nslots);
-            lines += memoLines;
-        }
     }
     memoTbl.assign(words, 0);
-    memoValid.assign(lines, 0);
+    for (size_t r = 0; r < 64; ++r) {
+        const uint32_t nslots =
+            roleSlotBegin[r + 1] - roleSlotBegin[r];
+        if (nslots == 0)
+            continue;
+        for (uint32_t i = 0; i < memoLines; ++i)
+            memoTbl[memoBase[r] + i * (1 + nslots)] = ~uint64_t{i};
+    }
+
+    // Bitmaps are sized once here and never resized (reset, merge
+    // and loadState write in place), so word pointers stay valid.
+    for (std::vector<uint64_t> &bm : bitmaps)
+        bitmapWords.push_back(bm.data());
 }
 
 uint64_t
@@ -149,6 +160,25 @@ CoverageMap::contribFor(const IncEntry &e, uint64_t roleValue)
     return placeValue(e, mapped);
 }
 
+void
+CoverageMap::fillMemoLine(unsigned role, uint64_t value, uint64_t *line)
+{
+    // Memo miss: compute this value's slot aggregates once and cache
+    // them. Lines are pure in (role value, instrumentation), so they
+    // never need invalidation — small recurring roles (operand
+    // indices, FSM states, op classes) hit almost always after
+    // warmup.
+    line[0] = value;
+    for (uint32_t s = roleSlotBegin[role]; s < roleSlotBegin[role + 1];
+         ++s) {
+        uint64_t acc = 0;
+        for (uint32_t k = slotEntryBegin[s]; k < slotEntryBegin[s + 1];
+             ++k)
+            acc ^= contribFor(incEntries[k], value);
+        line[1 + (s - roleSlotBegin[role])] = acc;
+    }
+}
+
 uint64_t
 CoverageMap::refreshAllEntries(const std::array<uint64_t, 64> &roles)
 {
@@ -157,28 +187,10 @@ CoverageMap::refreshAllEntries(const std::array<uint64_t, 64> &roles)
         const unsigned r = static_cast<unsigned>(
             __builtin_ctzll(roles_left));
         roles_left &= roles_left - 1;
-        const uint64_t v = roles[r];
-        const uint32_t s0 = roleSlotBegin[r];
-        const uint32_t s1 = roleSlotBegin[r + 1];
-        uint64_t *line = &memoTbl[memoBase[r] +
-                                  (v & (memoLines - 1)) *
-                                      (1 + (s1 - s0))];
-        uint8_t &ok = memoValid[validBase[r] + (v & (memoLines - 1))];
-        if (ok && line[0] == v) {
-            for (uint32_t s = s0; s < s1; ++s)
-                slotAgg[s] = line[1 + (s - s0)];
-            continue;
-        }
-        line[0] = v;
-        ok = 1;
-        for (uint32_t s = s0; s < s1; ++s) {
-            uint64_t acc = 0;
-            for (uint32_t k = slotEntryBegin[s];
-                 k < slotEntryBegin[s + 1]; ++k)
-                acc ^= contribFor(incEntries[k], v);
-            line[1 + (s - s0)] = acc;
-            slotAgg[s] = acc;
-        }
+        const uint64_t *line = memoLine(r, roles[r]);
+        for (uint32_t s = roleSlotBegin[r]; s < roleSlotBegin[r + 1];
+             ++s)
+            slotAgg[s] = line[1 + (s - roleSlotBegin[r])];
     }
     std::fill(modIdx.begin(), modIdx.end(), 0);
     for (size_t s = 0; s < slotAgg.size(); ++s)
@@ -248,20 +260,33 @@ CoverageMap::recordTrace(rtl::EventDriver &drv,
         }
         return newly;
     }
+    if (n == 0)
+        return 0; // no sweep: leave the tokens as they are
     const std::array<uint64_t, 64> &rv = drv.roleValues();
+    // The maintained indices carry over from the previous sweep when
+    // it was this map's sweep of this driver and nothing has touched
+    // either since: the driver's roles are then exactly the ones the
+    // aggregates were built from, and every module's index is still
+    // marked (merges only OR bits in). Anything else — another
+    // driver, another map, a reset or a restore on either side —
+    // breaks a token and commit 0 takes the full refresh.
+    const bool in_sync =
+        sweptDriver == &drv && drv.lastSweptBy() == this;
     for (size_t c = 0; c < n; ++c) {
+        uint64_t dirty;
         if (c == 0) {
-            // Full role advance + full refresh: establishes the
-            // cached aggregates and maintained indices the
-            // incremental steps below patch. Registers are not
-            // written here — the sweep computes from role values,
-            // and the full write is folded into the sweep-ending
-            // materialization.
-            drv.advanceRolesFull(commits[0]);
-            newly += refreshAllEntries(rv);
-            continue;
+            // Registers are not written during the sweep — it
+            // computes from role values — so the first advance only
+            // schedules whatever the sweep-ending materialization
+            // needs to bring the registers back in sync.
+            dirty = drv.advanceRolesFull(commits[0]);
+            if (!in_sync) {
+                newly += refreshAllEntries(rv);
+                continue;
+            }
+        } else {
+            dirty = drv.advanceRoles(commits[c]);
         }
-        const uint64_t dirty = drv.advanceRoles(commits[c]);
         uint64_t roles = dirty & rolesWithEntries;
         if (!roles)
             continue; // no placed role moved: no index can have moved
@@ -270,52 +295,31 @@ CoverageMap::recordTrace(rtl::EventDriver &drv,
             const unsigned r = static_cast<unsigned>(
                 __builtin_ctzll(roles));
             roles &= roles - 1;
-            const uint64_t value = rv[r];
+            const uint64_t *line = memoLine(r, rv[r]);
             const uint32_t s0 = roleSlotBegin[r];
             const uint32_t s1 = roleSlotBegin[r + 1];
-            uint64_t *line = &memoTbl[memoBase[r] +
-                                      (value & (memoLines - 1)) *
-                                          (1 + (s1 - s0))];
-            uint8_t &ok =
-                memoValid[validBase[r] + (value & (memoLines - 1))];
-            if (!(ok && line[0] == value)) {
-                // Memo miss: compute this value's slot aggregates
-                // once and cache them. Lines are pure in (role
-                // value, instrumentation), so they never need
-                // invalidation — small recurring roles (operand
-                // indices, FSM states, op classes) hit almost
-                // always after warmup.
-                line[0] = value;
-                ok = 1;
-                for (uint32_t s = s0; s < s1; ++s) {
-                    uint64_t acc = 0;
-                    for (uint32_t k = slotEntryBegin[s];
-                         k < slotEntryBegin[s + 1]; ++k)
-                        acc ^= contribFor(incEntries[k], value);
-                    line[1 + (s - s0)] = acc;
-                }
-            }
             for (uint32_t s = s0; s < s1; ++s) {
                 const uint64_t na = line[1 + (s - s0)];
-                if (na == slotAgg[s])
-                    continue;
+                const uint64_t d = slotAgg[s] ^ na;
                 const uint32_t m = slotModule[s];
-                modIdx[m] ^= slotAgg[s] ^ na;
+                modIdx[m] ^= d;
                 slotAgg[s] = na;
-                changed |= uint64_t{1} << m;
+                changed |= uint64_t{d != 0} << m;
             }
         }
         // A module whose maintained index did NOT change is already
         // marked at that index (at the latest by commit 0 of this
-        // sweep), so re-marking it would be a no-op: only changed
-        // indices need the bitmap test. The ctz walk marks in module
-        // order, so multi-module first-hits land in provenance
-        // exactly as the full per-module loop would record them.
+        // sweep or the previous one), so only changed indices need
+        // the bitmap test. The ctz walk marks in module order, so
+        // multi-module first-hits land in provenance exactly as the
+        // full per-module loop would record them.
         while (changed) {
             const unsigned m = static_cast<unsigned>(
                 __builtin_ctzll(changed));
             changed &= changed - 1;
-            newly += markModuleIndex(m, modIdx[m]);
+            const uint64_t idx = modIdx[m];
+            if (!((bitmapWords[m][idx / 64] >> (idx % 64)) & 1))
+                newly += markModuleIndex(m, idx);
         }
     }
     // Registers lagged behind the role values during the loop; one
@@ -323,6 +327,8 @@ CoverageMap::recordTrace(rtl::EventDriver &drv,
     // identical to per-commit writes: both are the mapping of each
     // role's LAST value).
     drv.materializeRegisters();
+    sweptDriver = &drv;
+    drv.markSweptBy(this);
     return newly;
 }
 
@@ -365,6 +371,7 @@ CoverageMap::reset()
         std::fill(dw.begin(), dw.end(), 0);
     std::fill(coveredPerModule.begin(), coveredPerModule.end(), 0);
     coveredTotal = 0;
+    sweptDriver = nullptr; // current indices are no longer marked
 }
 
 bool
@@ -531,6 +538,7 @@ CoverageMap::loadState(soc::SnapshotReader &in, std::string *error)
             *error = msg;
         return false;
     };
+    sweptDriver = nullptr; // restored bitmaps replace the marks
     try {
         if (in.getU32() != bitmaps.size())
             return fail("coverage module count mismatch");

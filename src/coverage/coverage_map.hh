@@ -52,6 +52,10 @@ class CoverageMap : public FeedbackModel
     /** @param di Instrumentation to track (not owned; must outlive). */
     explicit CoverageMap(const DesignInstrumentation *di);
 
+    // Holds pointers into its own bitmaps (bitmapWords).
+    CoverageMap(const CoverageMap &) = delete;
+    CoverageMap &operator=(const CoverageMap &) = delete;
+
     using FeedbackModel::record;
 
     /**
@@ -67,8 +71,11 @@ class CoverageMap : public FeedbackModel
      * per commit, but with two batch-only fast paths: registers whose
      * role value did not change are not rewritten, and modules none
      * of whose control-register roles changed are not resampled
-     * (their index — already marked at the previous commit of this
-     * sweep — cannot have moved).
+     * (their index — already marked at the previous commit — cannot
+     * have moved). Consecutive sweeps of one driver by one map carry
+     * their state over; a sweep that finds either side perturbed
+     * since (sweep tokens, see EventDriver::lastSweptBy()) opens
+     * with a full refresh.
      *
      * @return number of coverage points newly hit by the sweep.
      */
@@ -225,16 +232,35 @@ class CoverageMap : public FeedbackModel
 
     /**
      * Recompute every contribution and module index from the current
-     * role values, then mark all modules — the commit-0 step of
-     * each sweep. Runs right after a full onCommit(), when register
-     * values equal their role mapping by construction, and makes the
-     * sweep self-validating against any driver-state perturbation
-     * between sweeps (reset/loadState).
+     * role values, then mark all modules — the commit-0 step of a
+     * sweep that cannot carry the previous sweep's state over (see
+     * recordTrace()). It reads role values only, so it is exact
+     * whatever state the driver's registers are in, and it makes the
+     * sweep self-validating against any driver or map perturbation
+     * between sweeps (reset/loadState, another driver or map).
      */
     uint64_t refreshAllEntries(const std::array<uint64_t, 64> &roles);
 
+    /** Memo line of @p role for role value @p value, filled on a
+     *  miss: word 0 is the value tag, then one aggregate per slot. */
+    const uint64_t *
+    memoLine(unsigned role, uint64_t value)
+    {
+        uint64_t *line =
+            &memoTbl[memoBase[role] +
+                     (value & (memoLines - 1)) *
+                         (1 + roleSlotBegin[role + 1] -
+                          roleSlotBegin[role])];
+        if (line[0] != value) [[unlikely]]
+            fillMemoLine(role, value, line);
+        return line;
+    }
+
+    void fillMemoLine(unsigned role, uint64_t value, uint64_t *line);
+
     const DesignInstrumentation *instr;
     std::vector<std::vector<uint64_t>> bitmaps; ///< 1 bit per point
+    std::vector<uint64_t *> bitmapWords; ///< bitmaps[i].data()
 
     /**
      * Per module: one bit per bitmap word, set whenever that word
@@ -263,8 +289,8 @@ class CoverageMap : public FeedbackModel
     // the XOR of its slots' aggregates.
     //
     // The role memo is a per-role direct-mapped table over role
-    // VALUES: a line holds the slot aggregates for one previously
-    // seen value. Contributions are pure in (role value,
+    // VALUES: a line holds its value as a tag and the slot aggregates
+    // for that value. Contributions are pure in (role value,
     // instrumentation), so lines never need invalidation; roles with
     // small recurring values (operand indices, FSM states, op
     // classes) hit almost always and reduce a dirty role to one XOR
@@ -280,9 +306,16 @@ class CoverageMap : public FeedbackModel
     std::vector<uint32_t> slotEntryBegin; ///< +1 sentinel at the end
     std::vector<uint64_t> slotAgg;
     std::vector<uint64_t> memoTbl; ///< per line: value tag + aggs
-    std::vector<uint8_t> memoValid;
-    uint32_t memoBase[64] = {};  ///< role -> memoTbl line 0 offset
-    uint32_t validBase[64] = {}; ///< role -> memoValid offset
+    uint32_t memoBase[64] = {}; ///< role -> memoTbl line 0 offset
+
+    /**
+     * Sweep token: the driver this map's last sweep ended on, or
+     * null. Together with the driver's lastSweptBy() it says whether
+     * slotAgg/modIdx still describe that driver's role values and
+     * whether every module's current index is still marked. reset()
+     * and loadState() clear it; merges only OR bits in and keep it.
+     */
+    const rtl::EventDriver *sweptDriver = nullptr;
 };
 
 } // namespace turbofuzz::coverage

@@ -202,14 +202,13 @@ ExecutionEngine::runIteration(const IterationPolicy &p,
 
         // --- stage 1: DUT batch -----------------------------------
         dutTrace.clear();
-        core::ArchState dut_saved;
         bool stop_hit = false;
         uint64_t fill = 0;
         {
             telemetry::ScopedStage stage(h.trace, ins.dutNs,
                                          "engine.dut_batch");
             if (rewindable) {
-                dut_saved = dut_->state();
+                dutSaved = dut_->state();
                 dutJournal.clear();
                 dut_->memory().setJournal(&dutJournal);
             }
@@ -286,12 +285,11 @@ ExecutionEngine::runIteration(const IterationPolicy &p,
 
         // --- stage 2: REF batch (blind mirror of the commit count) -
         refTrace.clear();
-        core::ArchState ref_saved;
         {
             telemetry::ScopedStage stage(h.trace, ins.refNs,
                                          "engine.ref_mirror");
             if (rewindable) {
-                ref_saved = ref_->state();
+                refSaved = ref_->state();
                 refJournal.clear();
                 ref_->memory().setJournal(&refJournal);
             }
@@ -345,8 +343,8 @@ ExecutionEngine::runIteration(const IterationPolicy &p,
             if (limit < fill) {
                 if (ins.rewinds)
                     ins.rewinds->add(1);
-                rewind(dut_, dut_saved, dutJournal, limit);
-                rewind(ref_, ref_saved, refJournal, limit);
+                rewind(dut_, dutSaved, dutJournal, limit);
+                rewind(ref_, refSaved, refJournal, limit);
             }
             out.mismatch = *mm;
             out.mismatchCommitIndex = mm->instrIndex - checker_start;

@@ -213,6 +213,11 @@ class ExecutionEngine
     core::CommitTrace refTrace;
     soc::MemWriteJournal dutJournal;
     soc::MemWriteJournal refJournal;
+
+    /** Batch-entry hart states, written only when the batch is
+     *  rewindable (read only by rewind()). */
+    core::ArchState dutSaved;
+    core::ArchState refSaved;
 };
 
 } // namespace turbofuzz::engine

@@ -164,6 +164,8 @@ EventDriver::reset()
 {
     roles.fill(0);
     pendingDirty = 0;
+    regsSynced = false;
+    sweptBy = nullptr;
     branchHist = 0;
     cfDepth = 0;
     lastLoopTarget = 0;
@@ -204,6 +206,7 @@ EventDriver::mapToDomain(uint64_t value, const Register &reg)
 uint64_t
 EventDriver::updateRoles(const core::CommitInfo &ci)
 {
+    sweptBy = nullptr;
     uint64_t dirty = 0;
     auto set = [this, &dirty](RegRole role, uint64_t v) {
         const size_t idx = static_cast<size_t>(role);
@@ -251,7 +254,7 @@ EventDriver::updateRoles(const core::CommitInfo &ci)
     // Writeback digest: popcount + parity of the result value.
     const uint64_t wb = ci.frdWritten ? ci.frdValue : ci.rdValue;
     set(RegRole::Datapath,
-        static_cast<uint64_t>(__builtin_popcountll(wb)) |
+        static_cast<uint64_t>(popcount64(wb)) |
             ((wb & 1) << 6));
 
     // --- control flow --------------------------------------------------
@@ -413,6 +416,7 @@ EventDriver::onCommit(const core::CommitInfo &ci)
         remaining &= remaining - 1;
         writeRole(role, roles[role]);
     }
+    regsSynced = true;
 }
 
 uint64_t
@@ -481,6 +485,10 @@ EventDriver::loadState(soc::SnapshotReader &in, std::string *error)
             *error = msg;
         return false;
     };
+    // Registers and roles are restored independently (and a failed
+    // load leaves them half-written): nothing may assume they agree.
+    regsSynced = false;
+    sweptBy = nullptr;
     try {
         const uint32_t count = in.getU32();
         if (count != regCache.size())

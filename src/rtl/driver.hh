@@ -86,22 +86,37 @@ class EventDriver
     }
 
     /**
-     * advanceRoles() that additionally schedules EVERY driven
-     * register for the next materializeRegisters() — the batched
-     * equivalent of a full onCommit(). Batch sweeps open with this
-     * so the sweep-ending materialization alone re-establishes the
-     * register/role invariant, no matter what state the registers
-     * were in before the sweep (reset, loadState, a legacy-path
-     * drive): one full register write per sweep, at the end,
-     * instead of a full write up front plus a dirty write at the
-     * end.
+     * advanceRoles() that also re-establishes the register/role
+     * invariant by the next materializeRegisters(), whatever state
+     * the registers were left in (reset, loadState): while the
+     * registers are out of sync it schedules EVERY driven register
+     * — the batched equivalent of a full onCommit() — and otherwise
+     * just the dirty roles. Batch sweeps open with this, so a driver
+     * that only ever sweeps pays one full register write after each
+     * reset or restore instead of one per sweep.
      */
     uint64_t advanceRolesFull(const core::CommitInfo &ci)
     {
         const uint64_t dirty = updateRoles(ci);
-        pendingDirty = rolesWithRegs;
+        pendingDirty = regsSynced ? (pendingDirty | dirty)
+                                  : rolesWithRegs;
+        regsSynced = true;
         return dirty;
     }
+
+    /**
+     * Sweep token: the opaque identity of the consumer whose sweep
+     * last ended on this driver, or null. Every role mutation —
+     * updateRoles() (so every commit step of any kind), reset() and
+     * loadState() — clears it, so a consumer that finds its own
+     * identity here knows the role values are exactly those its last
+     * sweep ended on (the coverage map then skips its full refresh).
+     */
+    const void *lastSweptBy() const { return sweptBy; }
+
+    /** Record @p consumer as the sweep that ended on the current
+     *  role values (see lastSweptBy()). */
+    void markSweptBy(const void *consumer) { sweptBy = consumer; }
 
     /** Write the registers of every role dirtied by advanceRoles()
      *  since the last materialization (or full register write). */
@@ -195,6 +210,16 @@ class EventDriver
 
     /** Roles advanced but not yet written to their registers. */
     uint64_t pendingDirty = 0;
+
+    /**
+     * Every register equals its role mapping outside pendingDirty.
+     * reset() and loadState() clear it; a full write (onCommit(),
+     * or advanceRolesFull() scheduling every register) sets it.
+     */
+    bool regsSynced = false;
+
+    /** Sweep token (lastSweptBy()); null on a fresh driver. */
+    const void *sweptBy = nullptr;
 
     /** Current value per role. */
     std::array<uint64_t, 64> roles{};

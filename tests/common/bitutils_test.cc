@@ -80,5 +80,21 @@ TEST(BitUtils, CeilLog2)
     EXPECT_EQ(ceilLog2(1025), 11u);
 }
 
+TEST(BitUtils, Popcount64)
+{
+    static_assert(popcount64(0) == 0);
+    static_assert(popcount64(~uint64_t{0}) == 64);
+    EXPECT_EQ(popcount64(uint64_t{1} << 63), 1u);
+    EXPECT_EQ(popcount64(0x8000000000000001ull), 2u);
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 1000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        EXPECT_EQ(popcount64(x),
+                  static_cast<unsigned>(__builtin_popcountll(x)));
+    }
+}
+
 } // namespace
 } // namespace turbofuzz

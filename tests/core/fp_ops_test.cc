@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cfenv>
 #include <cmath>
 #include <cstring>
 
@@ -309,6 +311,118 @@ TEST(FpSgnj, AllThreeOps)
     EXPECT_EQ(sgnjS(SgnOp::Negate, pos, pos), f32(-2.5f));
     EXPECT_EQ(sgnjS(SgnOp::XorSign, neg, neg), f32(1.0f));
     EXPECT_EQ(sgnjD(SgnOp::Copy, f64(3.0), f64(-0.0)), f64(-3.0));
+}
+
+/**
+ * The host FP environment around every scoped operation: the host
+ * rounding mode after an op is the one before it, and host flags
+ * raised before an op (by an earlier op, an unscoped comparison or
+ * anyone else) never show up in its fflags. Known answers for every
+ * RISC-V rm pin result bits and flags.
+ */
+TEST(FpEnv, HostStateRestoredAndFlagsDoNotLeak)
+{
+    ASSERT_EQ(fegetround(), FE_TONEAREST);
+    const auto ops = std::to_array<FpResult (*)(uint8_t)>({
+        [](uint8_t rm) {
+            return arithS(ArithOp::Add, f32(1.0f), f32(1e-8f * 3.3f), rm);
+        },
+        [](uint8_t rm) {
+            return arithD(ArithOp::Div, f64(-1.0), f64(3.0), rm);
+        },
+        [](uint8_t rm) {
+            return arithS(ArithOp::Sqrt, f32(2.0f), 0, rm);
+        },
+        [](uint8_t rm) {
+            return fmaD(f64(0.1), f64(-0.3), f64(1e-17), false, true, rm);
+        },
+        [](uint8_t rm) {
+            return fmaS(f32(1e30f), f32(1e30f), f32(1.0f), true, false,
+                        rm);
+        },
+        [](uint8_t rm) { return cvtDToI(f64(-2.5), true, false, rm); },
+        [](uint8_t rm) { return cvtSToI(f32(7.5f), false, true, rm); },
+        [](uint8_t rm) {
+            return cvtIToS(0x7fffffffffffffffull, true, true, rm);
+        },
+        [](uint8_t rm) {
+            return cvtIToD(0xffffffffffffffffull, false, true, rm);
+        },
+        [](uint8_t rm) { return cvtDToS(f64(1e-40), rm); },
+    });
+    // {bits, flags} per op and rm (RNE, RTZ, RDN, RUP, RMM).
+    const FpResult known[10][5] = {
+        {{0xffffffff3f800000ull, 0x01}, {0xffffffff3f800000ull, 0x01},
+         {0xffffffff3f800000ull, 0x01}, {0xffffffff3f800001ull, 0x01},
+         {0xffffffff3f800000ull, 0x01}},
+        {{0xbfd5555555555555ull, 0x01}, {0xbfd5555555555555ull, 0x01},
+         {0xbfd5555555555556ull, 0x01}, {0xbfd5555555555555ull, 0x01},
+         {0xbfd5555555555555ull, 0x01}},
+        {{0xffffffff3fb504f3ull, 0x01}, {0xffffffff3fb504f3ull, 0x01},
+         {0xffffffff3fb504f3ull, 0x01}, {0xffffffff3fb504f4ull, 0x01},
+         {0xffffffff3fb504f3ull, 0x01}},
+        {{0xbf9eb851eb851ebbull, 0x01}, {0xbf9eb851eb851ebbull, 0x01},
+         {0xbf9eb851eb851ebcull, 0x01}, {0xbf9eb851eb851ebbull, 0x01},
+         {0xbf9eb851eb851ebbull, 0x01}},
+        {{0xffffffffff800000ull, 0x05}, {0xffffffffff7fffffull, 0x05},
+         {0xffffffffff800000ull, 0x05}, {0xffffffffff7fffffull, 0x05},
+         {0xffffffffff800000ull, 0x05}},
+        {{0xfffffffffffffffeull, 0x01}, {0xfffffffffffffffeull, 0x01},
+         {0xfffffffffffffffdull, 0x01}, {0xfffffffffffffffeull, 0x01},
+         {0xfffffffffffffffeull, 0x01}},
+        {{0x0000000000000008ull, 0x01}, {0x0000000000000007ull, 0x01},
+         {0x0000000000000007ull, 0x01}, {0x0000000000000008ull, 0x01},
+         {0x0000000000000008ull, 0x01}},
+        {{0xffffffff5f000000ull, 0x01}, {0xffffffff5effffffull, 0x01},
+         {0xffffffff5effffffull, 0x01}, {0xffffffff5f000000ull, 0x01},
+         {0xffffffff5f000000ull, 0x01}},
+        {{0x43f0000000000000ull, 0x01}, {0x43efffffffffffffull, 0x01},
+         {0x43efffffffffffffull, 0x01}, {0x43f0000000000000ull, 0x01},
+         {0x43f0000000000000ull, 0x01}},
+        {{0xffffffff000116c2ull, 0x03}, {0xffffffff000116c2ull, 0x03},
+         {0xffffffff000116c2ull, 0x03}, {0xffffffff000116c3ull, 0x03},
+         {0xffffffff000116c2ull, 0x03}},
+    };
+    // Exact operations of the same kinds: no flag may be reported.
+    const auto exact = std::to_array<FpResult (*)()>({
+        [] { return arithS(ArithOp::Add, f32(1.0f), f32(2.0f), 0); },
+        [] { return arithD(ArithOp::Mul, f64(1.5), f64(4.0), 0); },
+        [] { return fmaD(f64(2.0), f64(3.0), f64(1.0), false, false, 0); },
+        [] { return cvtDToI(f64(-3.0), true, true, 0); },
+        [] { return cvtIToS(42, true, false, 0); },
+        [] { return cvtDToS(f64(0.5), 0); },
+    });
+
+    for (size_t i = 0; i < ops.size(); ++i) {
+        for (uint8_t rm = 0; rm < 5; ++rm) {
+            SCOPED_TRACE(testing::Message() << "op " << i << " rm "
+                                            << unsigned{rm});
+            const FpResult r = ops[i](rm);
+            EXPECT_EQ(r.bits, known[i][rm].bits);
+            EXPECT_EQ(r.flags, known[i][rm].flags);
+            EXPECT_EQ(fegetround(), FE_TONEAREST);
+            // Every known-answer op raises flags; none may leak.
+            for (const auto &e : exact)
+                EXPECT_EQ(e().flags, 0u);
+        }
+    }
+
+    // Flags raised outside any scope do not leak either.
+    std::feraiseexcept(FE_ALL_EXCEPT);
+    for (const auto &e : exact) {
+        EXPECT_EQ(e().flags, 0u);
+        std::feraiseexcept(FE_INEXACT | FE_INVALID);
+    }
+    std::feclearexcept(FE_ALL_EXCEPT);
+
+    // A non-default host mode survives scoped ops of every rm.
+    ASSERT_EQ(fesetround(FE_UPWARD), 0);
+    for (uint8_t rm = 0; rm < 5; ++rm) {
+        ops[1](rm);
+        EXPECT_EQ(fegetround(), FE_UPWARD) << "rm " << unsigned{rm};
+    }
+    EXPECT_EQ(ops[1](isa::csr::rmRDN).bits, known[1][2].bits);
+    fesetround(FE_TONEAREST);
 }
 
 } // namespace
