@@ -15,6 +15,7 @@
 #include "bench_util.hh"
 
 #include "fuzzer/generator.hh"
+#include "telemetry/clock.hh"
 
 using namespace turbofuzz;
 using namespace turbofuzz::bench;
@@ -75,7 +76,8 @@ main(int argc, char **argv)
     for (const auto kind : kinds) {
         ModelRun run{kind};
         double detect_sum = 0.0;
-        ThroughputMeter meter;
+        const telemetry::WallClock clock;
+        uint64_t commits = 0;
         for (const core::BugInfo &bug : core::allBugs()) {
             auto opts = turboFuzzCampaign(seed);
             opts.coreKind = bug.design;
@@ -87,15 +89,16 @@ main(int argc, char **argv)
                 opts, std::make_unique<fuzzer::TurboFuzzGenerator>(
                           turboFuzzOptions(seed), &lib));
             const double t = timeToBug(c, hw_cap);
-            meter.addCommits(c.executedInstructions());
-            meter.addIterations(c.iterations());
+            commits += c.executedInstructions();
             if (t > 0) {
                 ++run.bugsFound;
                 detect_sum += t;
             }
         }
-        meter.stop();
-        run.commitsPerSec = meter.commitsPerSec();
+        const double host_sec = clock.elapsedSec();
+        run.commitsPerSec =
+            host_sec > 0.0 ? static_cast<double>(commits) / host_sec
+                           : 0.0;
         run.meanDetectSec =
             run.bugsFound ? detect_sum / run.bugsFound : -1.0;
 

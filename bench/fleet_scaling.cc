@@ -25,10 +25,10 @@
  * baseline via tools/bench_regress.py --mode metrics — baseline and
  * current come from the same runner class and bench arguments, so a
  * barrier-path regression shows up as a relative drop rather than
- * hiding inside absolute wall-clock noise. The per-epoch
- * barrier-ns/merge-ns/exchange-ns series break such a drop down to
- * the barrier phase that caused it; the exchange-ns metric is the
- * registry's fleet.barrier.exchange_ns counter.
+ * hiding inside absolute wall-clock noise. The barrier-ns/merge-ns/
+ * exchange-ns metrics break such a drop down to the barrier phase
+ * that caused it; they are the registry's fleet.barrier_ns,
+ * fleet.barrier.merge_ns and fleet.barrier.exchange_ns counters.
  */
 
 #include "bench_util.hh"
@@ -120,29 +120,11 @@ main(int argc, char **argv)
                       r.hostSeconds
                 : 0.0;
 
-        // Per-epoch barrier timing: the series carry every epoch (x =
-        // epoch deadline in simulated seconds, y = host nanoseconds);
-        // the table shows the totals.
-        uint64_t barrier_total = 0, merge_total = 0;
-        TimeSeries barrier_series("barrier-ns");
-        TimeSeries merge_series("merge-ns");
-        TimeSeries exchange_series("exchange-ns");
-        for (size_t e = 0; e < r.epochBarrierNs.size(); ++e) {
-            const double t =
-                fc.epochDeadline(static_cast<unsigned>(e));
-            barrier_total += r.epochBarrierNs[e];
-            barrier_series.record(
-                t, static_cast<double>(r.epochBarrierNs[e]));
-            if (e < r.epochMergeNs.size()) {
-                merge_total += r.epochMergeNs[e];
-                merge_series.record(
-                    t, static_cast<double>(r.epochMergeNs[e]));
-            }
-            if (e < r.epochExchangeNs.size()) {
-                exchange_series.record(
-                    t, static_cast<double>(r.epochExchangeNs[e]));
-            }
-        }
+        // Barrier timing totals, from the fleet's telemetry counters.
+        const uint64_t barrier_total =
+            r.metrics.counterValue("fleet.barrier_ns");
+        const uint64_t merge_total =
+            r.metrics.counterValue("fleet.barrier.merge_ns");
         const uint64_t exchange_total =
             r.metrics.counterValue("fleet.barrier.exchange_ns");
 
@@ -162,9 +144,6 @@ main(int argc, char **argv)
             "shards-" + std::to_string(shards);
         json.series(tag + "-coverage", r.mergedCoverage);
         json.series(tag + "-throughput", r.throughput);
-        json.series(tag + "-barrier-ns", barrier_series);
-        json.series(tag + "-merge-ns", merge_series);
-        json.series(tag + "-exchange-ns", exchange_series);
         json.metric(tag + "-iters-per-sim-sec", iter_rate);
         json.metric(tag + "-exec-instr-per-sim-sec", exec_rate);
         json.metric(tag + "-merged-coverage",

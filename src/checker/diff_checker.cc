@@ -103,70 +103,6 @@ DiffChecker::compareTrace(const core::CommitInfo *dut,
     return std::nullopt;
 }
 
-namespace
-{
-
-/**
- * Columnar form of compare()'s divergence test. Never misses a real
- * divergence: flag asymmetries are caught by the kind mask, and every
- * value column is zero on commits whose producing flag is unset (the
- * CommitInfo slots are fully rewritten per step), so the unconditional
- * value compares are exact when the flags agree. Memory effects
- * replicate compare()'s both-sides-accessed condition.
- */
-// tflint: hot-path
-inline bool
-columnsDiverge(const core::CommitTrace::Columns &d,
-               const core::CommitTrace::Columns &r, size_t i)
-{
-    constexpr uint8_t flagMask =
-        core::KindTrapped | core::KindRdWritten |
-        core::KindFrdWritten | core::KindCsrWritten;
-    const uint8_t kd = d.kind[i];
-    const uint8_t kr = r.kind[i];
-    return ((kd ^ kr) & flagMask) != 0 ||
-           d.nextPc[i] != r.nextPc[i] ||
-           d.trapCause[i] != r.trapCause[i] ||
-           d.rdValue[i] != r.rdValue[i] ||
-           d.frdValue[i] != r.frdValue[i] ||
-           d.fflags[i] != r.fflags[i] ||
-           d.csrNewValue[i] != r.csrNewValue[i] ||
-           d.minstretAfter[i] != r.minstretAfter[i] ||
-           ((kd & kr & core::KindMemAccess) != 0 &&
-            (d.memAddr[i] != r.memAddr[i] ||
-             ((kd ^ kr) & core::KindMemWrite) != 0));
-}
-
-} // namespace
-
-std::optional<Mismatch>
-DiffChecker::compareTrace(const core::CommitTrace &dut,
-                          const core::CommitTrace &ref, size_t count)
-{
-    if (!dut.columnsValid() || !ref.columnsValid())
-        return compareTrace(dut.data(), ref.data(), count);
-    const core::CommitTrace::Columns &dc = dut.columns();
-    const core::CommitTrace::Columns &rc = ref.columns();
-    size_t i = 0;
-    while (i < count) {
-        size_t k = i;
-        while (k < count && !columnsDiverge(dc, rc, k))
-            ++k;
-        // The skipped pairs compared equal; pairwise checking would
-        // have advanced the counter over each of them.
-        commits += k - i;
-        if (k == count)
-            return std::nullopt;
-        // Only suspect pairs pay the record-wise compare; it both
-        // confirms the divergence and keeps counter/classification
-        // semantics byte-identical to the pairwise loop.
-        if (auto mm = compare(dut[k], ref[k]))
-            return mm;
-        i = k + 1;
-    }
-    return std::nullopt;
-}
-
 std::optional<Mismatch>
 DiffChecker::compareFinalState(const core::ArchState &dut,
                                const core::ArchState &ref)

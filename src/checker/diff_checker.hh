@@ -105,19 +105,6 @@ class DiffChecker
                  const core::CommitInfo *ref, size_t count);
 
     /**
-     * Columnar batch diff: when both traces carry valid columns
-     * (CommitTrace::columnsValid()), the first divergent commit is
-     * located with one tight pass over the hot columns and only that
-     * pair is fed through compare() — same mismatch, same commit
-     * counter, ~130-byte records untouched for equal pairs. Falls
-     * back to the record-wise overload otherwise. @p count must not
-     * exceed either trace's size.
-     */
-    std::optional<Mismatch> compareTrace(const core::CommitTrace &dut,
-                                         const core::CommitTrace &ref,
-                                         size_t count);
-
-    /**
      * Final-state compare (EndOfIteration mode): integer/FP register
      * files, fflags and minstret of the two harts.
      */

@@ -160,8 +160,6 @@ FleetConfig::fromConfig(const Config &cfg)
     fc.provenance =
         cfg.getBool("provenance", false) || !fc.provenanceOut.empty();
 
-    fc.deltaBarrier = cfg.getBool("delta-barrier", true);
-
     return fc;
 }
 

@@ -156,18 +156,6 @@ struct FleetConfig
     bool provenance = false;
     std::string provenanceOut;
 
-    /**
-     * Epoch-barrier strategy (docs/fleet.md "Epoch barrier
-     * anatomy"). When true (the default) shards publish compact
-     * coverage deltas that the orchestrator reduces in a
-     * deterministic parallel tree on the worker pool; when false the
-     * orchestrator serially merges every shard's full maps in shard
-     * order (the historical path, kept as the reference
-     * implementation the delta path is tested byte-identical
-     * against).
-     */
-    bool deltaBarrier = true;
-
     /** Per-shard RNG seed; shardSeed(0) == fleetSeed. */
     uint64_t shardSeed(unsigned shard_idx) const;
 

@@ -186,20 +186,6 @@ TablePrinter::integer(uint64_t v)
 }
 
 double
-ThroughputMeter::commitsPerSec() const
-{
-    const double sec = elapsedSec();
-    return sec > 0.0 ? static_cast<double>(commitCount) / sec : 0.0;
-}
-
-double
-ThroughputMeter::itersPerSec() const
-{
-    const double sec = elapsedSec();
-    return sec > 0.0 ? static_cast<double>(iterCount) / sec : 0.0;
-}
-
-double
 geomean(const std::vector<double> &values)
 {
     if (values.empty())

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/clock.hh"
-
 namespace turbofuzz::soc
 {
 class SnapshotWriter;
@@ -122,72 +120,6 @@ class TablePrinter
 
 /** Geometric mean of a vector of positive values (0 if empty). */
 double geomean(const std::vector<double> &values);
-
-/**
- * Wall-clock (host-time) throughput accumulator. The campaign and
- * fleet report *simulated* time everywhere else; this meter is the
- * one place real elapsed time enters, so actual speedups of the
- * execution engine are visible in fleet summaries and benches. It
- * measures on the telemetry timebase (telemetry::WallClock), the
- * same clock trace spans and stage counters read.
- */
-class ThroughputMeter
-{
-  public:
-    ThroughputMeter() = default;
-
-    /** Zero the counters and restart the clock. */
-    void
-    restart()
-    {
-        clock.restart();
-        frozenNs = 0;
-        stopped = false;
-        commitCount = 0;
-        iterCount = 0;
-    }
-
-    /**
-     * Freeze the clock: every subsequent elapsedSec()/rate call uses
-     * this single instant, so a time row and the rate rows derived
-     * from it are mutually consistent.
-     */
-    void
-    stop()
-    {
-        frozenNs = clock.elapsedNs();
-        stopped = true;
-    }
-
-    void addCommits(uint64_t n) { commitCount += n; }
-    void addIterations(uint64_t n) { iterCount += n; }
-
-    uint64_t commits() const { return commitCount; }
-    uint64_t iterations() const { return iterCount; }
-
-    /** Host seconds from construction/restart() to now — or to
-     *  stop(), once called. */
-    double
-    elapsedSec() const
-    {
-        const uint64_t ns = stopped ? frozenNs : clock.elapsedNs();
-        return static_cast<double>(ns) * 1e-9;
-    }
-
-    /** Committed instructions per host second (0 before any time
-     *  elapses). */
-    double commitsPerSec() const;
-
-    /** Iterations per host second. */
-    double itersPerSec() const;
-
-  private:
-    telemetry::WallClock clock;
-    uint64_t frozenNs = 0;
-    bool stopped = false;
-    uint64_t commitCount = 0;
-    uint64_t iterCount = 0;
-};
 
 } // namespace turbofuzz
 

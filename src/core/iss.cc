@@ -1,7 +1,6 @@
 #include "core/iss.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 
@@ -19,19 +18,6 @@ using isa::Opcode;
 
 namespace
 {
-
-/** TURBOFUZZ_DECODE_CACHE=0|off forces the decode cache off (the CI
- *  equivalence matrix leg); anything else leaves the option alone. */
-bool
-decodeCacheEnvEnabled()
-{
-    // Sampled once at hart construction, before any worker threads
-    // exist; nothing in the process mutates the environment.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char *e = std::getenv("TURBOFUZZ_DECODE_CACHE");
-    return !(e && (std::strcmp(e, "0") == 0 ||
-                   std::strcmp(e, "off") == 0));
-}
 
 /**
  * The value-initialized commit record. Steps reset their record with
@@ -59,7 +45,7 @@ Iss::Iss(soc::Memory *mem, Options options)
     : memPtr(mem), opts(options)
 {
     TF_ASSERT(memPtr != nullptr, "Iss requires a memory");
-    dcacheOn = opts.decodeCache && decodeCacheEnvEnabled();
+    dcacheOn = opts.decodeCache;
     if (dcacheOn) {
         // Entries stay uninitialized (validity is the generation
         // array): hart construction is on the per-replay path, and
@@ -432,7 +418,6 @@ Iss::stepStraight(CommitTrace &trace, uint64_t max_steps)
         st.minstret += 1;
         ci.minstretAfter = st.minstret;
         st.fflags |= ci.fflagsAccrued;
-        trace.sealLast();
         ++n;
         if (ci.trapped)
             break; // trap redirected control flow: side exit

@@ -56,8 +56,7 @@ class Iss
          * fetches of unchanged words skip isa::decode. Epoch-guarded
          * against memory writes (soc::Memory fetch watches), so
          * self-modifying stimulus re-decodes and results stay
-         * bit-identical either way. The TURBOFUZZ_DECODE_CACHE
-         * environment variable ("0"/"off") forces it off.
+         * bit-identical either way.
          */
         bool decodeCache = true;
     };
@@ -123,7 +122,6 @@ class Iss
         while (n < max_steps) {
             CommitInfo &slot = trace.append();
             stepInto(slot);
-            trace.sealLast();
             ++n;
             if (stop(static_cast<const CommitInfo &>(slot)))
                 break;
@@ -136,7 +134,7 @@ class Iss
      * the straight-line fast path — every step must hit a current
      * decode-cache entry whose instruction has no control-flow or
      * system side exit (branch/jal/jalr/csr/system). Commits are
-     * appended (and column-sealed) exactly as stepInto produces them;
+     * appended exactly as stepInto produces them;
      * a trap ends the run after its commit, any other side exit
      * (uncached pc, stale epoch, non-straight instruction, misaligned
      * pc) ends it before. The caller owns the stop policy: it must

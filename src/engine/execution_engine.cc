@@ -53,37 +53,6 @@ ExecutionEngine::sweepStage(const core::CommitTrace &trace,
         h.driver->onTrace(commits, limit);
     }
 
-    // Columnar fast path: the per-commit counters read only pc, the
-    // kind byte and the store address/size — tight columns instead of
-    // ~130-byte record strides. The observer needs full records, and
-    // an unsealed trace has no valid columns; both fall back below.
-    if (!h.observer && trace.columnsValid()) {
-        const core::CommitTrace::Columns &col = trace.columns();
-        out.executedTotal += limit;
-        for (uint64_t c = 0; c < limit; ++c) {
-            if (col.pc[c] >= p.fuzzRegionStart &&
-                col.pc[c] < p.fuzzRegionEnd)
-                ++out.executedFuzz;
-            const uint8_t kind = col.kind[c];
-            if (kind & core::KindTrapped)
-                ++out.traps;
-            if (kind & core::KindMemWrite) {
-                const uint64_t addr = col.memAddr[c];
-                const uint64_t end = addr + col.memSize[c];
-                if (addr >= p.instrBase &&
-                    addr < p.instrBase + p.instrSize) {
-                    out.instrDirtyHigh =
-                        std::max(out.instrDirtyHigh, end);
-                } else if (addr >= p.handlerBase &&
-                           addr < p.handlerBase + p.handlerSize) {
-                    out.handlerDirtyHigh =
-                        std::max(out.handlerDirtyHigh, end);
-                }
-            }
-        }
-        return;
-    }
-
     for (uint64_t c = 0; c < limit; ++c) {
         const core::CommitInfo &ci = commits[c];
         ++out.executedTotal;
@@ -117,14 +86,6 @@ ExecutionEngine::runIteration(const IterationPolicy &p,
     const bool per_instr =
         checker_->mode() == checker::DiffChecker::Mode::PerInstruction;
     const uint64_t checker_start = checker_->commitsChecked();
-
-    // Column mirroring pays off in the sweep stage's fused columnar
-    // loop. With no sweep consumers at all (triage replay), the
-    // checker's AoS fallback is cheaper than sealing two traces, so
-    // turn the per-commit column writes off for this iteration.
-    const bool seal = h.driver || h.coverage || h.observer;
-    dutTrace.setSealing(seal);
-    refTrace.setSealing(seal);
 
     // DUT-side running totals the stop policy consumes. These count
     // *stepped* commits (including ones a mid-batch divergence later
@@ -325,7 +286,8 @@ ExecutionEngine::runIteration(const IterationPolicy &p,
                                          "engine.trace_diff");
             const uint64_t batch_checker_start =
                 checker_->commitsChecked();
-            mm = checker_->compareTrace(dutTrace, refTrace, fill);
+            mm = checker_->compareTrace(dutTrace.data(),
+                                       refTrace.data(), fill);
             if (mm)
                 limit = mm->instrIndex - batch_checker_start + 1;
         }

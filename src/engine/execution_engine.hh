@@ -197,7 +197,7 @@ class ExecutionEngine
 
     /** Stage 4: drive RTL events + record coverage + accumulate the
      *  per-commit counters over the first @p limit commits of
-     *  @p trace (columnar fast path when the trace is sealed). */
+     *  @p trace. */
     static void sweepStage(const core::CommitTrace &trace,
                            uint64_t limit, const IterationPolicy &p,
                            const Hooks &h, IterationOutcome &out);

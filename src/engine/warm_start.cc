@@ -33,8 +33,15 @@ captureWarmStart(const WarmStartSpec &spec)
         dut_mem.write32(spec.entryPc + 4 * i, spec.prefixCode[i]);
     soc::Memory ref_mem = dut_mem;
 
-    core::Iss dut(&dut_mem, spec.dutOpts);
-    core::Iss ref(&ref_mem, spec.refOpts);
+    // The sandbox harts step the prefix once: a decode cache would
+    // only be allocated, never reused (the cache is bit-identical on
+    // and off, so the captured trace and state do not depend on it).
+    core::Iss::Options dut_opts = spec.dutOpts;
+    core::Iss::Options ref_opts = spec.refOpts;
+    dut_opts.decodeCache = false;
+    ref_opts.decodeCache = false;
+    core::Iss dut(&dut_mem, dut_opts);
+    core::Iss ref(&ref_mem, ref_opts);
     for (core::Iss *c : {&dut, &ref}) {
         for (const auto &[base, size] : spec.accessRanges)
             c->addAccessRange(base, size);

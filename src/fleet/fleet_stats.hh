@@ -11,16 +11,34 @@
 #ifndef TURBOFUZZ_FLEET_FLEET_STATS_HH
 #define TURBOFUZZ_FLEET_FLEET_STATS_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "checker/diff_checker.hh"
-#include "common/concurrent_stats.hh"
 #include "common/stats.hh"
 #include "telemetry/metrics.hh"
 #include "triage/triage_queue.hh"
 
 namespace turbofuzz::fleet
 {
+
+/** Campaign counters of one shard, or summed over the fleet. */
+struct StatsSnapshot
+{
+    uint64_t iterations = 0;
+    uint64_t executedInstrs = 0;
+    uint64_t generatedInstrs = 0;
+    uint64_t mismatches = 0;
+
+    StatsSnapshot
+    operator-(const StatsSnapshot &rhs) const
+    {
+        return {iterations - rhs.iterations,
+                executedInstrs - rhs.executedInstrs,
+                generatedInstrs - rhs.generatedInstrs,
+                mismatches - rhs.mismatches};
+    }
+};
 
 /** A mismatch harvested from one shard at an epoch barrier. */
 struct ShardMismatch
@@ -83,21 +101,6 @@ struct FleetResult
      */
     double hostCommitsPerSec = 0.0;
     double hostItersPerSec = 0.0;
-
-    /**
-     * Host nanoseconds spent in each epoch barrier, the coverage-
-     * merge share of it (delta publish + reduction + apply, or the
-     * serial reference merge) and the seed-exchange share (export,
-     * import and sync charge; fleet.barrier.exchange_ns per epoch).
-     * One entry per completed barrier of THIS run() call — host
-     * timing is not checkpointed, so a resumed run reports only its
-     * own barriers. Informational: excluded from the determinism
-     * comparisons, consumed by bench/fleet_scaling.cc's per-epoch
-     * columns.
-     */
-    std::vector<uint64_t> epochBarrierNs;
-    std::vector<uint64_t> epochMergeNs;
-    std::vector<uint64_t> epochExchangeNs;
 
     /**
      * End-of-run merged telemetry: every shard registry plus the

@@ -152,7 +152,6 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
 {
     telemetry::ScopedStage barrier_stage(trace_.get(), mBarrierNs,
                                          "fleet.barrier");
-    const uint64_t barrier_start = telemetry::nowNs();
     mEpochs->add(1);
     // I/O the background writer overlapped with the epoch that just
     // ran (checkpoint shipping, JSONL lines) — harvested here so the
@@ -161,10 +160,7 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
     const unsigned n = shardCount();
     const double deadline = cfg.epochDeadline(epoch_idx);
 
-    // 1. Global coverage merge. Two byte-identical implementations
-    //    (tests/fleet/ FleetDelta):
-    //
-    //    Delta path (default): every shard publishes the words its
+    // 1. Global coverage merge: every shard publishes the words its
     //    models dirtied since the previous barrier — O(new coverage),
     //    in parallel on the pool since publication touches only
     //    shard-local state — then the per-shard deltas are combined
@@ -175,86 +171,47 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
     //    global models on this thread. Word-OR / bucket-OR /
     //    count-max / first-hit-min are all associative and
     //    commutative, so the tree shape changes nothing, and worker
-    //    scheduling cannot reorder observable writes.
-    //
-    //    Serial path (--delta-barrier=false): the historical full-map
-    //    merge in fixed shard order, kept as the reference the delta
-    //    path is proven against. A rejected merge or delta
-    //    (incompatible shapes — impossible for a fleet built by this
-    //    orchestrator, but the maps refuse rather than silently
-    //    corrupt) drops that contribution with a warning instead of
-    //    poisoning the global view.
+    //    scheduling cannot reorder observable writes. The result
+    //    equals a full-map merge() of every shard's models
+    //    (tests/fleet/ FleetDelta). A rejected delta (incompatible
+    //    shapes — impossible for a fleet built by this orchestrator,
+    //    but the maps refuse rather than silently corrupt) is
+    //    dropped with a warning instead of poisoning the global view.
     const uint64_t merge_start = telemetry::nowNs();
-    if (cfg.deltaBarrier) {
-        epochDeltas.resize(n);
-        for (unsigned i = 0; i < n; ++i) {
-            FleetShard *shard_ptr = shards[i].get();
-            coverage::CoverageDelta *slot = &epochDeltas[i];
-            pool.submit(
-                [shard_ptr, slot] { shard_ptr->publishDelta(*slot); });
+    epochDeltas.resize(n);
+    for (unsigned i = 0; i < n; ++i) {
+        FleetShard *shard_ptr = shards[i].get();
+        coverage::CoverageDelta *slot = &epochDeltas[i];
+        pool.submit(
+            [shard_ptr, slot] { shard_ptr->publishDelta(*slot); });
+    }
+    pool.wait();
+
+    const uint64_t reduce_start = telemetry::nowNs();
+    for (unsigned stride = 1; stride < n; stride <<= 1) {
+        for (unsigned i = 0; i + stride < n; i += 2 * stride) {
+            coverage::CoverageDelta *into = &epochDeltas[i];
+            coverage::CoverageDelta *from = &epochDeltas[i + stride];
+            pool.submit([into, from] { into->mergeFrom(*from); });
         }
         pool.wait();
-
-        const uint64_t reduce_start = telemetry::nowNs();
-        for (unsigned stride = 1; stride < n; stride <<= 1) {
-            for (unsigned i = 0; i + stride < n; i += 2 * stride) {
-                coverage::CoverageDelta *into = &epochDeltas[i];
-                coverage::CoverageDelta *from =
-                    &epochDeltas[i + stride];
-                pool.submit(
-                    [into, from] { into->mergeFrom(*from); });
-            }
-            pool.wait();
-        }
-        mReduceNs->add(telemetry::nowNs() - reduce_start);
-
-        std::string merge_error;
-        if (!globalMap->mergeDelta(epochDeltas[0].mux,
-                                   &merge_error))
-            warn("fleet coverage delta: %s", merge_error.c_str());
-        if (globalCsr &&
-            !globalCsr->mergeDelta(epochDeltas[0].csr, &merge_error))
-            warn("fleet csr delta: %s", merge_error.c_str());
-        if (globalHit && !globalHit->mergeDelta(epochDeltas[0].edges,
-                                                &merge_error))
-            warn("fleet edge delta: %s", merge_error.c_str());
-        // First-hit attributions ride the same reduction (min-wins
-        // inside mergeFrom); the reduced batch lands here.
-        if (cfg.provenance)
-            globalLedger.mergeEntries(epochDeltas[0].firstHits);
-    } else {
-        for (auto &s : shards) {
-            std::string merge_error;
-            if (!globalMap->merge(s->campaign().coverageMap(),
-                                  &merge_error)) {
-                warn("fleet coverage merge (shard %u): %s",
-                     s->index(), merge_error.c_str());
-            }
-            if (globalCsr &&
-                !globalCsr->merge(*s->campaign().csrModel(),
-                                  &merge_error)) {
-                warn("fleet csr merge (shard %u): %s", s->index(),
-                     merge_error.c_str());
-            }
-            if (globalHit &&
-                !globalHit->merge(*s->campaign().hitCountModel(),
-                                  &merge_error)) {
-                warn("fleet edge merge (shard %u): %s", s->index(),
-                     merge_error.c_str());
-            }
-        }
-
-        // Provenance ledger merge, same fixed shard order. Min-wins
-        // keeps the globally earliest attribution for every point;
-        // re-merging cumulative shard ledgers is idempotent.
-        if (cfg.provenance) {
-            for (const auto &s : shards)
-                globalLedger.merge(s->campaign().provenanceLedger());
-        }
     }
-    const uint64_t merge_ns = telemetry::nowNs() - merge_start;
-    mMergeNs->add(merge_ns);
-    result.epochMergeNs.push_back(merge_ns);
+    mReduceNs->add(telemetry::nowNs() - reduce_start);
+
+    std::string merge_error;
+    if (!globalMap->mergeDelta(epochDeltas[0].mux, &merge_error))
+        warn("fleet coverage delta: %s", merge_error.c_str());
+    if (globalCsr &&
+        !globalCsr->mergeDelta(epochDeltas[0].csr, &merge_error))
+        warn("fleet csr delta: %s", merge_error.c_str());
+    if (globalHit && !globalHit->mergeDelta(epochDeltas[0].edges,
+                                            &merge_error))
+        warn("fleet edge delta: %s", merge_error.c_str());
+    // First-hit attributions ride the same reduction (min-wins
+    // inside mergeFrom); the reduced batch lands here.
+    if (cfg.provenance)
+        globalLedger.mergeEntries(epochDeltas[0].firstHits);
+    mMergeNs->add(telemetry::nowNs() - merge_start);
 
     // 2. Cross-shard seed exchange: each exporter publishes its top
     //    seeds once as shared immutable blocks and every importer
@@ -289,9 +246,7 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
         for (auto &s : shards)
             s->chargeSync(sync.syncCostSec());
     }
-    const uint64_t exchange_ns = telemetry::nowNs() - exchange_start;
-    mExchangeNs->add(exchange_ns);
-    result.epochExchangeNs.push_back(exchange_ns);
+    mExchangeNs->add(telemetry::nowNs() - exchange_start);
 
     // 3. Mismatch harvest: each shard's first mismatch, once.
     for (unsigned i = 0; i < n; ++i) {
@@ -355,9 +310,6 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
 
     // 5. Periodic JSONL stats (merged fleet metrics at this barrier).
     maybeEmitStats(deadline, epoch_idx);
-
-    result.epochBarrierNs.push_back(telemetry::nowNs() -
-                                    barrier_start);
 }
 
 bool
@@ -370,7 +322,7 @@ FleetOrchestrator::exchangesSeeds() const
 FleetResult
 FleetOrchestrator::run()
 {
-    ThroughputMeter meter;
+    const telemetry::WallClock clock;
     const unsigned n = shardCount();
     const unsigned epochs = cfg.epochCount();
 
@@ -395,7 +347,7 @@ FleetOrchestrator::run()
             for (auto &s : shards) {
                 FleetShard *shard_ptr = s.get();
                 pool.submit([shard_ptr, deadline, exchanges, this] {
-                    shard_ptr->runEpoch(deadline, &liveStats);
+                    shard_ptr->runEpoch(deadline);
                     // Hash new corpus residents here, in parallel,
                     // instead of inside the serial exchange.
                     if (exchanges)
@@ -453,14 +405,16 @@ FleetOrchestrator::run()
             triage_.minimizeAll();
         result.bugTable = triage_.table();
     }
-    // stop() freezes one clock reading for the time row and both
-    // rate rows, so the printed summary is self-consistent.
-    meter.addCommits(result.totals.executedInstrs);
-    meter.addIterations(result.totals.iterations);
-    meter.stop();
-    result.hostSeconds = meter.elapsedSec();
-    result.hostCommitsPerSec = meter.commitsPerSec();
-    result.hostItersPerSec = meter.itersPerSec();
+    // One clock reading for the time row and both rate rows, so the
+    // printed summary is self-consistent.
+    const double host_sec = clock.elapsedSec();
+    result.hostSeconds = host_sec;
+    if (host_sec > 0.0) {
+        result.hostCommitsPerSec =
+            static_cast<double>(result.totals.executedInstrs) / host_sec;
+        result.hostItersPerSec =
+            static_cast<double>(result.totals.iterations) / host_sec;
+    }
 
     // End-of-run telemetry. The background writer is drained first:
     // a pending checkpoint must be on disk before run() returns (the
@@ -755,9 +709,6 @@ FleetOrchestrator::restoreCheckpoint(const soc::Snapshot &snap,
         }
 
         epochsDone = epochs_done;
-        // Prime the live counters so mid-run reads stay monotone
-        // across the resume.
-        liveStats.add(prevTotals);
         return true;
     } catch (const soc::SnapshotFormatError &e) {
         return fail(e.what());

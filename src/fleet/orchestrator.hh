@@ -139,9 +139,6 @@ class FleetOrchestrator
         return static_cast<unsigned>(shards.size());
     }
 
-    /** Live counters (safe to read from another thread mid-run). */
-    StatsSnapshot liveCounters() const { return liveStats.snapshot(); }
-
     /** The triage queue accumulating harvested reproducers. */
     const triage::TriageQueue &triageQueue() const { return triage_; }
 
@@ -197,7 +194,6 @@ class FleetOrchestrator
      * idempotent, so no per-epoch delta tracking is needed.
      */
     coverage::FirstHitLedger globalLedger;
-    ConcurrentStats liveStats;
     std::vector<bool> mismatchHarvested;
     triage::TriageQueue triage_;
 

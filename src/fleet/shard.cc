@@ -26,15 +26,12 @@ FleetShard::counters() const
 }
 
 void
-FleetShard::runEpoch(double deadline_sec, ConcurrentStats *aggregate)
+FleetShard::runEpoch(double deadline_sec)
 {
     if (stoppedEarly)
         return;
-    const StatsSnapshot before = counters();
     if (!camp->runSlice(deadline_sec, covSeries))
         stoppedEarly = true;
-    if (aggregate)
-        aggregate->add(counters() - before);
 }
 
 void

@@ -17,8 +17,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/concurrent_stats.hh"
 #include "common/stats.hh"
+#include "fleet/fleet_stats.hh"
 #include "harness/campaign.hh"
 
 namespace turbofuzz::fleet
@@ -42,10 +42,9 @@ class FleetShard
 
     /**
      * Run until the shard's simulated clock reaches @p deadline_sec.
-     * Called on a worker thread; touches only shard-local state plus
-     * the (atomic) fleet aggregator.
+     * Called on a worker thread; touches only shard-local state.
      */
-    void runEpoch(double deadline_sec, ConcurrentStats *aggregate);
+    void runEpoch(double deadline_sec);
 
     /**
      * Epoch-time: hash the corpus seeds admitted since the last

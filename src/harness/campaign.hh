@@ -54,7 +54,6 @@ struct CampaignOptions
      * ISS decode cache + superblock fast path (core::Iss::Options).
      * Bit-identical either way (enforced by tests/engine/); exposed
      * so the equivalence suite can run both legs programmatically.
-     * TURBOFUZZ_DECODE_CACHE=0/off overrides this to false.
      */
     bool decodeCache = true;
 

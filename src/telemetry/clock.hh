@@ -4,8 +4,8 @@
  *
  * Every wall-clock reading in the repository flows through nowNs() —
  * the trace recorder's span timestamps, the stage-timing counters and
- * the ThroughputMeter all measure against the same monotonic epoch,
- * so per-stage breakdowns, trace spans and commits/sec rows are
+ * the fleet's host-time rows all measure against the same monotonic
+ * epoch, so per-stage breakdowns, trace spans and commits/sec rows are
  * mutually comparable. Simulated time stays in SimClock; this header
  * is the single place *host* time enters.
  */
@@ -30,9 +30,10 @@ nowNs()
 }
 
 /**
- * A restartable stopwatch over nowNs(). ThroughputMeter and the
- * fleet orchestrator derive their elapsed-seconds readings from this
- * instead of keeping private chrono bookkeeping.
+ * A restartable stopwatch over nowNs(). The fleet orchestrator and
+ * the benches derive their elapsed-seconds readings (and the
+ * commits/sec rates divided from them) from this instead of keeping
+ * private chrono bookkeeping.
  */
 class WallClock
 {

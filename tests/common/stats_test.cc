@@ -102,31 +102,6 @@ TEST(TimeSeries, DecimationBoundsGrowth)
     EXPECT_DOUBLE_EQ(s.last(), 99999.0);
 }
 
-TEST(ThroughputMeter, AccumulatesAndRates)
-{
-    ThroughputMeter m;
-    m.addCommits(4000);
-    m.addCommits(1000);
-    m.addIterations(5);
-    EXPECT_EQ(m.commits(), 5000u);
-    EXPECT_EQ(m.iterations(), 5u);
-    EXPECT_GE(m.elapsedSec(), 0.0);
-    // stop() freezes the clock: both rates derive from ONE elapsed
-    // reading, so they are in exact counter proportion.
-    m.stop();
-    EXPECT_DOUBLE_EQ(m.elapsedSec(), m.elapsedSec());
-    const double cps = m.commitsPerSec();
-    const double ips = m.itersPerSec();
-    EXPECT_GE(cps, 0.0);
-    EXPECT_GE(ips, 0.0);
-    if (ips > 0.0)
-        EXPECT_NEAR(cps / ips, 1000.0, 1e-9);
-
-    m.restart();
-    EXPECT_EQ(m.commits(), 0u);
-    EXPECT_EQ(m.iterations(), 0u);
-}
-
 TEST(TablePrinter, AlignedOutput)
 {
     TablePrinter t({"Fuzzer", "Speed"});

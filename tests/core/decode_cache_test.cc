@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/iss.hh"
@@ -34,42 +32,8 @@ opsRdRs1Imm(unsigned rd, unsigned rs1, int64_t imm)
     return o;
 }
 
-/**
- * RAII: pin TURBOFUZZ_DECODE_CACHE for the guard's lifetime (nullptr
- * unsets it, i.e. cache on), restoring the ambient value after — the
- * CI off-leg exports the variable globally, and these tests must
- * control it regardless.
- */
-class ScopedDecodeCacheEnv
-{
-  public:
-    explicit ScopedDecodeCacheEnv(const char *value)
-    {
-        if (const char *old = getenv("TURBOFUZZ_DECODE_CACHE")) {
-            saved = old;
-            hadOld = true;
-        }
-        if (value)
-            setenv("TURBOFUZZ_DECODE_CACHE", value, 1);
-        else
-            unsetenv("TURBOFUZZ_DECODE_CACHE");
-    }
-    ~ScopedDecodeCacheEnv()
-    {
-        if (hadOld)
-            setenv("TURBOFUZZ_DECODE_CACHE", saved.c_str(), 1);
-        else
-            unsetenv("TURBOFUZZ_DECODE_CACHE");
-    }
-
-  private:
-    std::string saved;
-    bool hadOld = false;
-};
-
 TEST(DecodeCache, RepeatedFetchHitsCache)
 {
-    ScopedDecodeCacheEnv on(nullptr);
     soc::Memory mem;
     // addi x1, x0, 7 ; jal x0, -4 (spin on the addi forever).
     mem.write32(base, isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 7)));
@@ -93,7 +57,6 @@ TEST(DecodeCache, RepeatedFetchHitsCache)
 
 TEST(DecodeCache, ExternalStoreToCachedAddressRedecodes)
 {
-    ScopedDecodeCacheEnv on(nullptr);
     soc::Memory mem;
     mem.write32(base, isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 7)));
 
@@ -121,7 +84,6 @@ TEST(DecodeCache, ExternalStoreToCachedAddressRedecodes)
  */
 TEST(DecodeCache, BulkWriteInvalidatesCachedLine)
 {
-    ScopedDecodeCacheEnv on(nullptr);
     soc::Memory mem;
     mem.addFetchWatch(base, 0x10000);
     std::vector<uint32_t> code = {
@@ -152,7 +114,6 @@ TEST(DecodeCache, BulkWriteInvalidatesCachedLine)
  */
 TEST(DecodeCache, SelfModifyingLoopExecutesNewInstruction)
 {
-    ScopedDecodeCacheEnv on(nullptr);
     soc::Memory mem;
     unsigned slot = 0;
     auto emit = [&](uint32_t word) { mem.write32(base + 4 * slot++, word); };
@@ -218,25 +179,6 @@ TEST(DecodeCache, SelfModifyingLoopExecutesNewInstruction)
     EXPECT_EQ(iss.state().x(31), 99u);
 }
 
-TEST(DecodeCache, EnvGateForcesCacheOff)
-{
-    soc::Memory mem;
-    mem.write32(base, isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 7)));
-
-    ScopedDecodeCacheEnv off("off");
-    Iss iss(&mem);
-    iss.reset(base);
-    EXPECT_FALSE(iss.decodeCacheEnabled());
-    for (int i = 0; i < 3; ++i) {
-        iss.reset(base);
-        iss.step();
-    }
-    const Iss::DecodeStats &st = iss.decodeStats();
-    EXPECT_EQ(st.hit, 0u);
-    EXPECT_EQ(st.miss, 0u);
-    EXPECT_EQ(st.invalidate, 0u);
-}
-
 /** Cached and uncached execution of one program, commit-for-commit. */
 TEST(DecodeCache, OnOffTracesBitIdentical)
 {
@@ -272,11 +214,12 @@ TEST(DecodeCache, OnOffTracesBitIdentical)
     }
 
     auto run = [&](bool cached) {
-        ScopedDecodeCacheEnv env(cached ? nullptr : "off");
         soc::Memory mem;
         for (size_t i = 0; i < words.size(); ++i)
             mem.write32(base + 4 * i, words[i]);
-        Iss iss(&mem);
+        Iss::Options opts;
+        opts.decodeCache = cached;
+        Iss iss(&mem, opts);
         EXPECT_EQ(iss.decodeCacheEnabled(), cached);
         iss.reset(base);
         std::vector<CommitInfo> trace;

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,7 @@ struct RunConfig
     uint64_t seed = 1;
     double budgetSec = 6.0;
     bool warmStart = true;
+    bool decodeCache = true;
 };
 
 /** Everything observable about a finished campaign. */
@@ -82,6 +82,7 @@ runCampaign(const RunConfig &cfg, uint64_t batch)
     opts.checkMode = cfg.mode;
     opts.batchSize = batch;
     opts.warmStart = cfg.warmStart;
+    opts.decodeCache = cfg.decodeCache;
     fuzzer::FuzzerOptions fopts;
     fopts.seed = cfg.seed;
     fopts.instrsPerIteration = 1000;
@@ -157,17 +158,26 @@ expectIdentical(const RunSummary &a, const RunSummary &b,
         EXPECT_EQ(a.reproducers[i], b.reproducers[i]) << "repro " << i;
 }
 
-/** Batched runs must be bit-identical to the lockstep (batch=1) run. */
+/**
+ * Batched runs must be bit-identical to the lockstep (batch=1) run,
+ * with the ISS decode cache on (superblock dispatch) and off (every
+ * commit through the slow step path).
+ */
 void
-expectBatchInvariant(const RunConfig &cfg, bool expect_mismatch)
+expectBatchInvariant(RunConfig cfg, bool expect_mismatch)
 {
     const RunSummary lockstep = runCampaign(cfg, 1);
     EXPECT_EQ(lockstep.hasMismatch, expect_mismatch);
-    for (const uint64_t batch : {uint64_t{7}, uint64_t{64},
-                                 uint64_t{4096}}) {
-        const RunSummary batched = runCampaign(cfg, batch);
-        expectIdentical(lockstep, batched,
-                        ("batch=" + std::to_string(batch)).c_str());
+    for (const bool cached : {true, false}) {
+        cfg.decodeCache = cached;
+        for (const uint64_t batch : {uint64_t{7}, uint64_t{64},
+                                     uint64_t{4096}}) {
+            const RunSummary batched = runCampaign(cfg, batch);
+            expectIdentical(lockstep, batched,
+                            ("batch=" + std::to_string(batch) +
+                             (cached ? " cached" : " uncached"))
+                                .c_str());
+        }
     }
 }
 
@@ -271,21 +281,25 @@ TEST(EngineEquivalence, EndOfIterationModeBoom)
  * everything a campaign can report — coverage, counters, time
  * series, the first mismatch, the full mismatch snapshot (both harts
  * + DUT memory) and every reproducer's serialized bytes. Runs across
- * the bug catalog's core families, both checking modes and multiple
- * batch sizes.
+ * the bug catalog's core families, both checking modes, multiple
+ * batch sizes and the decode cache on and off.
  */
 void
 expectWarmColdIdentical(RunConfig cfg, bool expect_mismatch)
 {
-    for (const uint64_t batch : {uint64_t{1}, uint64_t{64}}) {
-        cfg.warmStart = false;
-        const RunSummary cold = runCampaign(cfg, batch);
-        EXPECT_EQ(cold.hasMismatch, expect_mismatch);
-        cfg.warmStart = true;
-        const RunSummary warmed = runCampaign(cfg, batch);
-        expectIdentical(cold, warmed,
-                        ("warm batch=" + std::to_string(batch))
-                            .c_str());
+    for (const bool cached : {true, false}) {
+        cfg.decodeCache = cached;
+        for (const uint64_t batch : {uint64_t{1}, uint64_t{64}}) {
+            cfg.warmStart = false;
+            const RunSummary cold = runCampaign(cfg, batch);
+            EXPECT_EQ(cold.hasMismatch, expect_mismatch);
+            cfg.warmStart = true;
+            const RunSummary warmed = runCampaign(cfg, batch);
+            expectIdentical(cold, warmed,
+                            ("warm batch=" + std::to_string(batch) +
+                             (cached ? " cached" : " uncached"))
+                                .c_str());
+        }
     }
 }
 
@@ -491,57 +505,16 @@ TEST(EngineEquivalence, SampleDecimationKeepsOutcomes)
 // --- Decode-cache equivalence ------------------------------------
 //
 // The ISS decode cache is a pure speedup: campaigns with the cache
-// forced off (TURBOFUZZ_DECODE_CACHE=off) must be bit-identical to
-// cached runs — same coverage, same mismatch, same snapshots, same
-// reproducers. The env gate is sampled at Iss construction, so the
-// guard brackets the whole campaign construction.
-
-/**
- * RAII: pin TURBOFUZZ_DECODE_CACHE (nullptr unsets it = cache on),
- * restoring the ambient value after — the CI off-leg exports the
- * variable globally, and these tests must control both sides.
- */
-class ScopedDecodeCacheEnv
-{
-  public:
-    explicit ScopedDecodeCacheEnv(const char *value)
-    {
-        if (const char *old = getenv("TURBOFUZZ_DECODE_CACHE")) {
-            saved = old;
-            hadOld = true;
-        }
-        if (value)
-            setenv("TURBOFUZZ_DECODE_CACHE", value, 1);
-        else
-            unsetenv("TURBOFUZZ_DECODE_CACHE");
-    }
-    ~ScopedDecodeCacheEnv()
-    {
-        if (hadOld)
-            setenv("TURBOFUZZ_DECODE_CACHE", saved.c_str(), 1);
-        else
-            unsetenv("TURBOFUZZ_DECODE_CACHE");
-    }
-
-  private:
-    std::string saved;
-    bool hadOld = false;
-};
+// off must be bit-identical to cached runs — same coverage, same
+// mismatch, same snapshots, same reproducers.
 
 void
-expectCacheOnOffIdentical(const RunConfig &cfg)
+expectCacheOnOffIdentical(RunConfig cfg)
 {
-    RunSummary cached;
-    {
-        ScopedDecodeCacheEnv on(nullptr);
-        cached = runCampaign(cfg, 64);
-    }
-    RunSummary uncachedLockstep, uncachedBatched;
-    {
-        ScopedDecodeCacheEnv off("off");
-        uncachedBatched = runCampaign(cfg, 64);
-        uncachedLockstep = runCampaign(cfg, 1);
-    }
+    const RunSummary cached = runCampaign(cfg, 64);
+    cfg.decodeCache = false;
+    const RunSummary uncachedBatched = runCampaign(cfg, 64);
+    const RunSummary uncachedLockstep = runCampaign(cfg, 1);
     expectIdentical(cached, uncachedBatched,
                     "decode cache on vs off (batch 64)");
     expectIdentical(cached, uncachedLockstep,

@@ -6,7 +6,7 @@
  * real job is the TSan CI leg (cmake --preset tsan): every
  * cross-thread handoff the fleet layer relies on is exercised here
  * with enough contention that a missing happens-before edge in
- * WorkerPool / ConcurrentStats / the epoch barrier shows up as a
+ * WorkerPool / the epoch barrier shows up as a
  * ThreadSanitizer report instead of a one-in-a-million corruption.
  *
  * The invariants under test (docs/static_analysis.md):
@@ -15,10 +15,8 @@
  *     including plain (non-atomic) data.
  *   - submit() is safe from multiple threads concurrently, including
  *     while another thread is parked in wait().
- *   - ConcurrentStats tolerates contended adds with concurrent
- *     snapshot readers and loses no counts.
- *   - A live FleetOrchestrator::run() tolerates a monitor thread
- *     polling liveCounters() mid-epoch (the documented use).
+ *   - A live FleetOrchestrator::run() (shard epochs on worker
+ *     threads, barrier merges, seed exchange) is race-free.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/concurrent_stats.hh"
 #include "common/fleet_config.hh"
 #include "fleet/orchestrator.hh"
 #include "fleet/worker_pool.hh"
@@ -49,7 +46,7 @@ lib()
 
 /**
  * Epoch churn: each epoch submits one job per slot writing *plain*
- * uint64 slots plus a shared ConcurrentStats; after wait() the main
+ * uint64 slots plus a shared atomic counter; after wait() the main
  * thread reads every slot (and reuses them next epoch). A missing
  * release/acquire edge in the pool's barrier is a TSan hit; a lost
  * job is a value mismatch.
@@ -61,18 +58,18 @@ TEST(BarrierStress, WorkerPoolEpochChurnPublishesPlainWrites)
     const unsigned epochs = 200;
 
     WorkerPool pool(threads);
-    ConcurrentStats stats;
+    std::atomic<uint64_t> jobs{0};
     std::vector<uint64_t> plain(slots, 0); // non-atomic on purpose
 
     for (unsigned e = 1; e <= epochs; ++e) {
         for (unsigned s = 0; s < slots; ++s) {
             uint64_t *slot = &plain[s];
-            pool.submit([slot, e, &stats] {
+            pool.submit([slot, e, &jobs] {
                 // Read-modify-write of the previous epoch's value:
                 // also checks the main thread's inter-epoch writes
                 // are visible to workers (submit is a release).
                 *slot += e;
-                stats.addIteration(1, 1, false);
+                jobs.fetch_add(1, std::memory_order_relaxed);
             });
         }
         pool.wait();
@@ -82,8 +79,7 @@ TEST(BarrierStress, WorkerPoolEpochChurnPublishesPlainWrites)
             ASSERT_EQ(plain[s], expect) << "slot " << s
                                         << " epoch " << e;
     }
-    EXPECT_EQ(stats.snapshot().iterations,
-              uint64_t{slots} * epochs);
+    EXPECT_EQ(jobs.load(), uint64_t{slots} * epochs);
 }
 
 /** Concurrent submitters + a waiter: the multi-producer pattern the
@@ -110,46 +106,6 @@ TEST(BarrierStress, ConcurrentSubmittersSingleWaiter)
         t.join();
     pool.wait();
     EXPECT_EQ(done.load(), uint64_t{submitters} * per_thread);
-}
-
-/** Contended adds with a concurrent snapshot reader; totals exact. */
-TEST(BarrierStress, ConcurrentStatsContendedAddsLoseNothing)
-{
-    const unsigned writers = 8;
-    const unsigned adds = 20000;
-
-    ConcurrentStats stats;
-    std::atomic<bool> stop{false};
-
-    std::thread reader([&] {
-        uint64_t last = 0;
-        while (!stop.load(std::memory_order_acquire)) {
-            const StatsSnapshot s = stats.snapshot();
-            // Monotone while only adders run.
-            ASSERT_GE(s.iterations, last);
-            last = s.iterations;
-        }
-    });
-
-    std::vector<std::thread> threads;
-    threads.reserve(writers);
-    for (unsigned t = 0; t < writers; ++t) {
-        threads.emplace_back([&stats] {
-            for (unsigned i = 0; i < adds; ++i)
-                stats.addIteration(3, 2, (i & 1023) == 0);
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    stop.store(true, std::memory_order_release);
-    reader.join();
-
-    const StatsSnapshot s = stats.snapshot();
-    EXPECT_EQ(s.iterations, uint64_t{writers} * adds);
-    EXPECT_EQ(s.executedInstrs, uint64_t{writers} * adds * 3);
-    EXPECT_EQ(s.generatedInstrs, uint64_t{writers} * adds * 2);
-    EXPECT_EQ(s.mismatches,
-              uint64_t{writers} * ((adds + 1023) / 1024));
 }
 
 /**
@@ -187,9 +143,9 @@ TEST(BarrierStress, SharedInstructionLibraryConstReadsAreRaceFree)
 
 /**
  * A real fleet run — shard epochs on worker threads, barrier merges,
- * broadcast seed exchange — with a monitor thread polling the live
- * counters the whole time. This is the path that stretches into the
- * multi-process fleet; it must be TSan-clean end to end.
+ * broadcast seed exchange — with many short epochs. This is the path
+ * that stretches into the multi-process fleet; it must be TSan-clean
+ * end to end.
  */
 TEST(BarrierStress, FleetRunWithLiveCounterMonitor)
 {
@@ -206,26 +162,10 @@ TEST(BarrierStress, FleetRunWithLiveCounterMonitor)
     fo.instrsPerIteration = 500;
 
     FleetOrchestrator orch(fc, co, fo, &lib());
-
-    std::atomic<bool> stop{false};
-    std::thread monitor([&] {
-        uint64_t last = 0;
-        while (!stop.load(std::memory_order_acquire)) {
-            const StatsSnapshot s = orch.liveCounters();
-            ASSERT_GE(s.iterations, last);
-            last = s.iterations;
-            std::this_thread::yield();
-        }
-    });
-
     const FleetResult result = orch.run();
-    stop.store(true, std::memory_order_release);
-    monitor.join();
 
     EXPECT_GT(result.totals.iterations, 0u);
-    // The monitor must have observed a consistent final state.
-    EXPECT_EQ(orch.liveCounters().iterations,
-              result.totals.iterations);
+    EXPECT_GT(result.seedsExchanged, 0u);
 }
 
 } // namespace

@@ -332,28 +332,6 @@ TEST(JsonlReporter, EmitsSchemaTaggedLines)
     std::remove(path.c_str());
 }
 
-// --- ThroughputMeter on the telemetry clock --------------------------
-
-TEST(ThroughputMeter, StopFreezesElapsedTime)
-{
-    ThroughputMeter meter;
-    meter.restart();
-    meter.addCommits(1000);
-    meter.addIterations(10);
-    meter.stop();
-    const double frozen = meter.elapsedSec();
-    EXPECT_GE(frozen, 0.0);
-    // After stop(), elapsed time no longer advances: rates derived
-    // from it stay mutually consistent.
-    EXPECT_DOUBLE_EQ(meter.elapsedSec(), frozen);
-    EXPECT_EQ(meter.commits(), 1000u);
-    EXPECT_EQ(meter.iterations(), 10u);
-    if (frozen > 0.0) {
-        EXPECT_DOUBLE_EQ(meter.commitsPerSec(), 1000.0 / frozen);
-        EXPECT_DOUBLE_EQ(meter.itersPerSec(), 10.0 / frozen);
-    }
-}
-
 // --- Campaign integration --------------------------------------------
 
 isa::InstructionLibrary &
